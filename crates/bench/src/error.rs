@@ -17,7 +17,6 @@
 use cadapt_analysis::{McError, SweepError, TrialPanic};
 use cadapt_core::CoreError;
 use cadapt_recursion::RunError;
-use cadapt_serve::ServeError;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -98,24 +97,18 @@ pub enum BenchError {
         /// Why it cannot be used.
         detail: String,
     },
-    /// The job service failed: the daemon refused to start, a request
-    /// errored, or the serve fault suite found a robustness violation.
-    Service(ServeError),
 }
 
 impl BenchError {
-    /// Map the failure onto the process exit code contract (documented in
-    /// DESIGN.md's failure model):
+    /// Map the failure onto the process exit code contract (see DESIGN.md's
+    /// failure model): 0 success, 1 semantic failure (experiment error,
+    /// check mismatch), 2 usage, 3 filesystem, 4 untrusted data (corrupt
+    /// artifact, bad golden, unusable checkpoint), 5 isolated panic,
+    /// 6 cooperative cancellation.
     ///
-    /// * `2` — usage errors;
-    /// * `3` — filesystem / environment errors;
-    /// * `4` — untrusted data: corrupt artifacts, unparseable records,
-    ///   missing or stale goldens, unusable checkpoints;
-    /// * `5` — an isolated panic (a bug, but one that was contained);
-    /// * `6` — cooperative cancellation (a fired
-    ///   [`CancelToken`](cadapt_core::CancelToken), not a failure);
-    /// * `7` — a job-service failure (daemon, protocol, or journal);
-    /// * `1` — everything else (semantic failures reported cleanly).
+    /// No error maps to 0, and every variant without a code of its own is a
+    /// semantic failure (1). Cancellation is a fired
+    /// [`CancelToken`](cadapt_core::CancelToken), not a failure.
     #[must_use]
     pub fn exit_code(&self) -> u8 {
         match self {
@@ -127,7 +120,6 @@ impl BenchError {
             | BenchError::Checkpoint { .. } => 4,
             BenchError::Panicked { .. } => 5,
             BenchError::Cancelled { .. } => 6,
-            BenchError::Service(_) => 7,
             BenchError::Core(_)
             | BenchError::Run(_)
             | BenchError::Mc(_)
@@ -213,7 +205,6 @@ impl fmt::Display for BenchError {
             BenchError::Checkpoint { path, detail } => {
                 write!(f, "checkpoint manifest {} unusable: {detail}", path.display())
             }
-            BenchError::Service(e) => write!(f, "service error: {e}"),
         }
     }
 }
@@ -225,15 +216,8 @@ impl std::error::Error for BenchError {
             BenchError::Run(e) => Some(e),
             BenchError::Mc(e) => Some(e),
             BenchError::Record { source, .. } => Some(source),
-            BenchError::Service(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<ServeError> for BenchError {
-    fn from(e: ServeError) -> BenchError {
-        BenchError::Service(e)
     }
 }
 
@@ -337,10 +321,6 @@ mod tests {
         );
         assert_eq!(BenchError::invariant("x").exit_code(), 1);
         assert_eq!(BenchError::Cancelled { after_boxes: 9 }.exit_code(), 6);
-        assert_eq!(
-            BenchError::Service(ServeError::Overloaded { capacity: 4 }).exit_code(),
-            7
-        );
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! One module per experiment in DESIGN.md's per-experiment index, each
 //! exposing a `run(scale) -> …Result` function used three ways:
 //!
-//! * the `exp_*` binaries print the tables (EXPERIMENTS.md embeds them);
+//! * the `cadapt-bench` CLI runs them through the registry, prints the
+//!   tables (EXPERIMENTS.md embeds them) and writes run records;
 //! * the workspace integration tests assert the qualitative shape
 //!   (who wins, which growth law);
-//! * the Criterion benches time the underlying kernels.
+//! * `cadapt-bench perf` times the underlying kernels.
 //!
 //! [`Scale`] keeps the same code usable from debug-mode tests (`Quick`) and
 //! release-mode harness runs (`Full`).
@@ -23,7 +24,6 @@ pub mod experiments;
 pub mod faults;
 pub mod harness;
 pub mod perf;
-pub mod serve_faults;
 
 pub use error::BenchError;
 

@@ -6,10 +6,7 @@
 //!                     [--checkpoint-every N] [--resume] [--cancel-after MS]
 //! cadapt-bench check  [--exp e1,e2,…] [--size quick|full] [--threads N] [--golden DIR]
 //! cadapt-bench perf   [--size quick|full] [--out FILE]
-//! cadapt-bench faults [--target engine|serve] [--seed N] [--cases N] [--out FILE]
-//! cadapt-bench serve  --journal DIR [--addr A] [--workers N] [--queue-cap N]
-//!                     [--health-exp ID|none] [--golden DIR]
-//! cadapt-bench request --addr HOST:PORT --line JSON [--line JSON…]
+//! cadapt-bench faults [--seed N] [--cases N] [--out FILE]
 //! ```
 //!
 //! `run` executes the selected experiments (all, by default) through the
@@ -57,34 +54,17 @@
 //!
 //! `faults` runs the deterministic fault-injection harness: `--cases`
 //! fault plans expanded from `--seed`, each attacking the engine's
-//! isolation, atomicity, and checksum guarantees (`--target engine`, the
-//! default) or the job service's crash-recovery guarantees — torn
-//! journal tails, sealed-segment corruption, kills between `Started` and
-//! `Finished`, keyed double-submits across restarts (`--target serve`).
-//! The report (default `FAULTS.json` / `FAULTS_SERVE.json`, a checksummed
-//! envelope) is a pure function of the seed. Silent corruption — a
-//! verifying artifact with wrong contents, or a recovered result whose
-//! bytes drifted — aborts the suite with a typed error.
-//!
-//! `serve` runs the `cadapt-serve` daemon: NDJSON over TCP, jobs
-//! journaled to `--journal DIR` before they run, recovery on restart.
-//! The bound address is printed as the first stdout line
-//! (`cadapt-serve listening on <addr>`) so scripts can drive it; the
-//! process blocks until a client sends `drain`. Unless `--health-exp
-//! none`, the daemon's `health` op re-runs one quick experiment (default
-//! `e1`) and diffs it against the golden in `--golden DIR`: a mismatch
-//! reports `"status":"degraded"` — degraded, not dead.
-//!
-//! `request` is the thin client: it sends each `--line` to `--addr` on
-//! one connection and prints one response line per request.
+//! isolation, atomicity, and checksum guarantees. The report (default
+//! `FAULTS.json`, a checksummed envelope) is a pure function of the seed.
+//! Silent corruption — a verifying artifact with wrong contents — aborts
+//! the suite with a typed error.
 //!
 //! `--quick` is shorthand for `--size quick` on every command.
 //!
 //! Exit codes (see DESIGN.md's failure model): 0 success, 1 semantic
 //! failure (experiment error, check mismatch), 2 usage, 3 filesystem,
 //! 4 untrusted data (corrupt artifact, bad golden, unusable checkpoint),
-//! 5 isolated panic, 6 cooperative cancellation, 7 job-service failure
-//! (daemon, protocol, or journal).
+//! 5 isolated panic, 6 cooperative cancellation.
 
 use cadapt_analysis::parallel::{resolve_threads, run_indexed};
 
@@ -97,11 +77,8 @@ use cadapt_bench::faults;
 use cadapt_bench::harness::checkpoint::{self, Checkpointer, Recovered};
 use cadapt_bench::harness::store::{self, ArtifactWriter, FsWriter};
 use cadapt_bench::harness::{self, CheckReport, RunRecord};
-use cadapt_bench::serve_faults;
 use cadapt_bench::{BenchError, ExpCtx, Scale};
 use cadapt_core::cast;
-use cadapt_serve::{Daemon, DaemonConfig, HealthReport};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -113,10 +90,7 @@ commands:
   run                      run experiments and print their tables
   check                    re-run experiments and diff against goldens
   perf                     time per-box baseline vs the run-length fast path
-  faults                   attack the engine or the job service with
-                           deterministic fault injection
-  serve                    run the crash-safe job daemon (blocks until drained)
-  request                  send NDJSON request lines to a running daemon
+  faults                   attack the engine with deterministic fault injection
 
 options:
   --exp ID[,ID…]           experiments to touch (default: all)
@@ -138,15 +112,6 @@ options:
                            cancelled runs exit 6 and resume cleanly
   --seed N                 faults only: suite seed (default 7)
   --cases N                faults only: fault plans to run (default 16)
-  --target engine|serve    faults only: what to attack (default engine)
-  --journal DIR            serve only: write-ahead journal directory (required)
-  --addr HOST:PORT         serve: bind address (default 127.0.0.1:0)
-                           request: daemon address (required)
-  --workers N              serve only: job worker threads (default 2)
-  --queue-cap N            serve only: admission queue capacity (default 64)
-  --health-exp ID|none     serve only: experiment behind the health op's
-                           golden self-check (default e1; none disables)
-  --line JSON              request only: one request line (repeatable)
 ";
 
 struct Options {
@@ -160,13 +125,6 @@ struct Options {
     cancel_after_ms: Option<u64>,
     seed: u64,
     cases: u64,
-    target: String,
-    journal: Option<PathBuf>,
-    addr: Option<String>,
-    workers: usize,
-    queue_cap: usize,
-    health_exp: String,
-    lines: Vec<String>,
 }
 
 fn usage_err(message: impl Into<String>) -> BenchError {
@@ -185,13 +143,6 @@ fn parse_options(args: &[String]) -> Result<Options, BenchError> {
         cancel_after_ms: None,
         seed: 7,
         cases: 16,
-        target: "engine".to_string(),
-        journal: None,
-        addr: None,
-        workers: 2,
-        queue_cap: 64,
-        health_exp: "e1".to_string(),
-        lines: Vec::new(),
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -242,31 +193,6 @@ fn parse_options(args: &[String]) -> Result<Options, BenchError> {
                 let text = value("--cases")?;
                 options.cases = number("--cases", &text)?;
             }
-            "--target" => {
-                let name = value("--target")?;
-                if name != "engine" && name != "serve" {
-                    return Err(usage_err(format!(
-                        "--target must be engine or serve, got {name:?}"
-                    )));
-                }
-                options.target = name;
-            }
-            "--journal" => options.journal = Some(PathBuf::from(value("--journal")?)),
-            "--addr" => options.addr = Some(value("--addr")?),
-            "--workers" => {
-                let text = value("--workers")?;
-                options.workers = cast::checked_usize_from_u64(number("--workers", &text)?)
-                    .ok_or_else(|| usage_err(format!("--workers {text} does not fit this host")))?;
-            }
-            "--queue-cap" => {
-                let text = value("--queue-cap")?;
-                options.queue_cap = cast::checked_usize_from_u64(number("--queue-cap", &text)?)
-                    .ok_or_else(|| {
-                        usage_err(format!("--queue-cap {text} does not fit this host"))
-                    })?;
-            }
-            "--health-exp" => options.health_exp = value("--health-exp")?,
-            "--line" => options.lines.push(value("--line")?),
             other => return Err(usage_err(format!("unknown option {other:?}"))),
         }
     }
@@ -536,9 +462,6 @@ fn cmd_perf(options: &Options) -> Result<(), BenchError> {
 }
 
 fn cmd_faults(options: &Options) -> Result<(), BenchError> {
-    if options.target == "serve" {
-        return cmd_faults_serve(options);
-    }
     let seed = options.seed;
     let scratch = faults::scratch_dir(seed);
     eprintln!(
@@ -563,134 +486,23 @@ fn cmd_faults(options: &Options) -> Result<(), BenchError> {
     Ok(())
 }
 
-fn cmd_faults_serve(options: &Options) -> Result<(), BenchError> {
-    let seed = options.seed;
-    let scratch = serve_faults::scratch_dir(seed);
-    eprintln!(
-        "[cadapt-bench] attacking the job service: seed {seed}, {} cases (scratch {})…",
-        options.cases,
-        scratch.display()
-    );
-    let report = serve_faults::run_suite(seed, options.cases, &scratch)?;
-    println!(
-        "serve fault suite: seed {seed}, {} cases, {} recovered, {} clean failures, 0 silent corruptions",
-        report.cases.len(),
-        report.recovered(),
-        report.cases.len() - report.recovered()
-    );
-    let path = options
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("FAULTS_SERVE.json"));
-    store::write_envelope(&FsWriter, &path, &report.to_payload())?;
-    eprintln!("[cadapt-bench] wrote {}", path.display());
-    let _ = std::fs::remove_dir_all(&scratch);
-    Ok(())
-}
-
-/// Build the `health`-op self-check: re-run one quick experiment and
-/// diff it against its golden. A failing golden makes the daemon report
-/// `degraded` — it keeps serving jobs either way.
-fn health_hook(exp_id: &str, golden: PathBuf) -> Result<cadapt_serve::HealthHook, BenchError> {
-    let exp = harness::find(exp_id)
-        .ok_or_else(|| usage_err(format!("unknown experiment {exp_id:?} for --health-exp")))?;
-    let id = exp_id.to_string();
-    Ok(Box::new(move || {
-        let golden_record = match load_golden(&golden, &id) {
-            Ok(record) => record,
-            Err(e) => {
-                return HealthReport {
-                    degraded: true,
-                    detail: format!("golden self-check unavailable: {e}"),
-                }
-            }
-        };
-        let (fresh, _error) = harness::run_record_resilient(exp, ExpCtx::new(Scale::Quick));
-        let report = harness::compare(&golden_record, &fresh);
-        if report.passed() {
-            HealthReport {
-                degraded: false,
-                detail: format!("golden self-check passed ({id}, quick)"),
-            }
-        } else {
-            HealthReport {
-                degraded: true,
-                detail: format!(
-                    "golden self-check FAILED ({id}, quick): {}",
-                    report.failures.join("; ")
-                ),
-            }
-        }
-    }))
-}
-
-fn cmd_serve(options: &Options) -> Result<(), BenchError> {
-    let Some(journal) = options.journal.clone() else {
-        return Err(usage_err(
-            "serve needs --journal DIR for the write-ahead journal",
-        ));
-    };
-    let mut config = DaemonConfig::new(journal);
-    if let Some(addr) = &options.addr {
-        config.addr = addr.clone();
-    }
-    config.workers = options.workers.max(1);
-    config.queue_cap = options.queue_cap.max(1);
-    if options.health_exp != "none" {
-        config.health_hook = Some(health_hook(&options.health_exp, options.golden.clone())?);
-    }
-    let daemon = Daemon::bind(config)?;
-    let replay = daemon.replay();
-    eprintln!(
-        "[cadapt-bench] journal replayed: {} events, {} sealed segments, clean shutdown: {}{}",
-        replay.events.len(),
-        replay.segments,
-        replay.clean_shutdown,
-        if replay.dropped_torn_tail {
-            " (dropped a torn tail line)"
-        } else {
-            ""
-        }
-    );
-    // Scripts parse this line to learn the resolved port; flush so it is
-    // visible before the accept loop blocks.
-    println!("cadapt-serve listening on {}", daemon.local_addr());
-    let _ = std::io::stdout().flush();
-    daemon.run()?;
-    eprintln!("[cadapt-bench] drained; journal sealed clean");
-    Ok(())
-}
-
-fn cmd_request(options: &Options) -> Result<(), BenchError> {
-    let Some(addr) = &options.addr else {
-        return Err(usage_err("request needs --addr HOST:PORT"));
-    };
-    if options.lines.is_empty() {
-        return Err(usage_err("request needs at least one --line JSON"));
-    }
-    let responses = cadapt_serve::daemon::request_lines(addr, &options.lines)?;
-    for response in responses {
-        println!("{response}");
-    }
-    Ok(())
-}
-
 /// Dispatch; `Ok(false)` is a check mismatch (exit 1 without an error
-/// message — the report already went to stdout).
-fn dispatch(command: &str, options: &Options) -> Result<bool, BenchError> {
-    match command {
-        "list" => {
+/// message — the report already went to stdout). The command is resolved
+/// before its options are parsed, so an unknown command is reported as
+/// such whatever options follow it.
+fn dispatch(command: &str, args: &[String]) -> Result<bool, BenchError> {
+    let cmd: fn(&Options) -> Result<bool, BenchError> = match command {
+        "list" => |_| {
             cmd_list();
             Ok(true)
-        }
-        "run" => cmd_run(options).map(|()| true),
-        "check" => cmd_check(options),
-        "perf" => cmd_perf(options).map(|()| true),
-        "faults" => cmd_faults(options).map(|()| true),
-        "serve" => cmd_serve(options).map(|()| true),
-        "request" => cmd_request(options).map(|()| true),
-        other => Err(usage_err(format!("unknown command {other:?}"))),
-    }
+        },
+        "run" => |options| cmd_run(options).map(|()| true),
+        "check" => cmd_check,
+        "perf" => |options| cmd_perf(options).map(|()| true),
+        "faults" => |options| cmd_faults(options).map(|()| true),
+        other => return Err(usage_err(format!("unknown command {other:?}"))),
+    };
+    cmd(&parse_options(args)?)
 }
 
 fn main() -> ExitCode {
@@ -699,7 +511,7 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::from(2);
     };
-    let outcome = parse_options(rest).and_then(|options| dispatch(command, &options));
+    let outcome = dispatch(command, rest);
     // The one place a BenchError becomes a process exit code.
     match outcome {
         Ok(true) => ExitCode::SUCCESS,

@@ -123,11 +123,33 @@ fn check_against_mislabelled_golden_exits_4() {
 
 #[test]
 fn usage_errors_exit_2_with_usage_text() {
-    let output = run_bench(&["run", "--no-such-flag"]);
-    assert_eq!(exit_code(&output), 2);
-    let err = stderr_text(&output);
-    assert!(err.contains("unknown option"), "{err}");
-    assert!(err.contains("usage: cadapt-bench"), "{err}");
+    // The retired job daemon's commands and options are refused like any
+    // other unknown name.
+    let cases: [(&[&str], &str); 4] = [
+        (&["run", "--no-such-flag"], "unknown option"),
+        (
+            &[
+                "request",
+                "--addr",
+                "127.0.0.1:1",
+                "--line",
+                r#"{"op":"health"}"#,
+            ],
+            "unknown command",
+        ),
+        (&["serve"], "unknown command"),
+        (
+            &["faults", "--target", "serve", "--cases", "1"],
+            "unknown option",
+        ),
+    ];
+    for (args, expected) in cases {
+        let output = run_bench(args);
+        let err = stderr_text(&output);
+        assert_eq!(exit_code(&output), 2, "{args:?}: {err}");
+        assert!(err.contains(expected), "{args:?}: {err}");
+        assert!(err.contains("usage: cadapt-bench"), "{args:?}: {err}");
+    }
 }
 
 #[test]

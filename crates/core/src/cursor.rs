@@ -40,7 +40,7 @@
 use crate::profile::{BoxRun, BoxSource};
 use crate::Blocks;
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The typed cancellation signal: a pipeline observed its [`CancelToken`]
@@ -57,52 +57,16 @@ impl fmt::Display for Cancelled {
 
 impl std::error::Error for Cancelled {}
 
-/// Why a [`CancelToken`] fired. The service layer turns the reason into a
-/// typed job outcome (a user cancel, a missed deadline, or an exhausted
-/// box budget are three different verdicts with three different exit
-/// paths), so the reason travels with the flag instead of beside it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CancelKind {
-    /// An explicit caller request ([`CancelToken::cancel`]).
-    User,
-    /// A deadline enforcer fired the token.
-    Deadline,
-    /// A resource-budget enforcer fired the token.
-    Budget,
-}
-
-impl CancelKind {
-    /// Stable lowercase label for reports and wire payloads.
-    #[must_use]
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            CancelKind::User => "user",
-            CancelKind::Deadline => "deadline",
-            CancelKind::Budget => "budget",
-        }
-    }
-}
-
-/// Not cancelled; see the `KIND_*` constants below.
-const KIND_NONE: u8 = 0;
-const KIND_USER: u8 = 1;
-const KIND_DEADLINE: u8 = 2;
-const KIND_BUDGET: u8 = 3;
-
-/// A shared cancellation flag (an `Arc<AtomicU8>` under the hood): unset,
-/// or cancelled with a [`CancelKind`] explaining why.
+/// A shared cancellation flag (an `Arc<AtomicBool>` under the hood).
 ///
 /// Clone the token into every pipeline that should stop together; any
-/// clone's [`CancelToken::cancel`] (or [`CancelToken::cancel_with`]) is
-/// observed by all of them at their next between-runs check. The **first**
-/// cancel wins: a deadline firing after a user cancel does not rewrite the
-/// reason, so the reported outcome is stable under racing enforcers.
-/// Relaxed ordering is sufficient: the flag carries no data beyond "stop
-/// soon, because X", and determinism is unaffected because cancellation
-/// aborts a run rather than changing its results.
+/// clone's [`CancelToken::cancel`] is observed by all of them at their
+/// next between-runs check. Relaxed ordering is sufficient: the flag
+/// carries no data, only "stop soon", and determinism is unaffected
+/// because cancellation aborts a run rather than changing its results.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
-    flag: Arc<AtomicU8>,
+    flag: Arc<AtomicBool>,
 }
 
 impl CancelToken {
@@ -113,41 +77,14 @@ impl CancelToken {
     }
 
     /// Request cancellation; every clone of this token observes it.
-    /// Equivalent to `cancel_with(CancelKind::User)`.
     pub fn cancel(&self) {
-        self.cancel_with(CancelKind::User);
-    }
-
-    /// Request cancellation carrying a reason. If the token is already
-    /// cancelled the original reason is kept (first cancel wins).
-    pub fn cancel_with(&self, kind: CancelKind) {
-        let code = match kind {
-            CancelKind::User => KIND_USER,
-            CancelKind::Deadline => KIND_DEADLINE,
-            CancelKind::Budget => KIND_BUDGET,
-        };
-        // compare_exchange so concurrent enforcers cannot overwrite the
-        // first reason; losing the race is fine — the flag is already set.
-        let _ = self
-            .flag
-            .compare_exchange(KIND_NONE, code, Ordering::Relaxed, Ordering::Relaxed);
+        self.flag.store(true, Ordering::Relaxed);
     }
 
     /// Whether cancellation has been requested.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed) != KIND_NONE
-    }
-
-    /// Why the token fired, or `None` while it has not.
-    #[must_use]
-    pub fn kind(&self) -> Option<CancelKind> {
-        match self.flag.load(Ordering::Relaxed) {
-            KIND_USER => Some(CancelKind::User),
-            KIND_DEADLINE => Some(CancelKind::Deadline),
-            KIND_BUDGET => Some(CancelKind::Budget),
-            _ => None,
-        }
+        self.flag.load(Ordering::Relaxed)
     }
 }
 
@@ -709,33 +646,6 @@ mod tests {
         assert!(!clone.is_cancelled());
         token.cancel();
         assert!(clone.is_cancelled());
-    }
-
-    #[test]
-    fn cancel_token_records_a_kind() {
-        let token = CancelToken::new();
-        assert_eq!(token.kind(), None);
-        token.cancel_with(CancelKind::Deadline);
-        assert!(token.is_cancelled());
-        assert_eq!(token.kind(), Some(CancelKind::Deadline));
-        assert_eq!(token.kind().map(|k| k.as_str()), Some("deadline"));
-    }
-
-    #[test]
-    fn cancel_token_first_cancel_wins() {
-        let token = CancelToken::new();
-        token.cancel_with(CancelKind::Budget);
-        token.cancel_with(CancelKind::Deadline);
-        token.cancel();
-        assert_eq!(token.kind(), Some(CancelKind::Budget));
-    }
-
-    #[test]
-    fn cancel_token_plain_cancel_is_a_user_cancel() {
-        let token = CancelToken::new();
-        let clone = token.clone();
-        clone.cancel();
-        assert_eq!(token.kind(), Some(CancelKind::User));
     }
 
     #[test]

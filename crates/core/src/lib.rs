@@ -41,7 +41,7 @@ pub mod progress;
 pub mod report;
 
 pub use counters::CounterSnapshot;
-pub use cursor::{CancelKind, CancelToken, Cancelled, RunCursor, RunCursorExt, SourceCursor};
+pub use cursor::{CancelToken, Cancelled, RunCursor, RunCursorExt, SourceCursor};
 pub use error::CoreError;
 pub use memory_profile::MemoryProfile;
 pub use potential::Potential;

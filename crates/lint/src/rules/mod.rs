@@ -16,7 +16,6 @@ mod cursor_materialize;
 mod float_eq;
 mod float_ord;
 mod lossy_cast;
-mod net_confine;
 mod nondet_source;
 mod panic_reach;
 mod rng_discipline;
@@ -60,7 +59,6 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(panic_reach::PanicReach),
         Box::new(lossy_cast::LossyCast),
         Box::new(nondet_source::NondetSource),
-        Box::new(net_confine::NetConfine),
         Box::new(crate_header::CrateHeader),
         Box::new(rng_discipline::RngDiscipline),
         Box::new(counter_balance::CounterBalance),

@@ -11,12 +11,6 @@ use crate::source::SourceFile;
 /// threaded results reproducible in the first place.
 const APPROVED_ENGINE: &str = "crates/analysis/src/parallel.rs";
 
-/// The one module allowed wall-clock reads and service threads: the job
-/// daemon, whose deadline watcher and worker pool live *outside* the
-/// result path — every job result it records is produced by the
-/// deterministic engine and journalled byte-for-byte.
-const APPROVED_SERVICE: &str = "crates/serve/src/daemon.rs";
-
 /// Flags `Instant::now`, `SystemTime`, `thread_rng`,
 /// `HashMap`/`HashSet`, and ad-hoc thread fan-out (`thread::spawn`,
 /// `.spawn(..)`, `crossbeam`) in library code.
@@ -48,15 +42,10 @@ impl Rule for NondetSource {
          order), the seeded `rand_chacha` shim for randomness, and \
          `cadapt_analysis::parallel` — the one approved engine, whose \
          trial-ordered reduction is bit-identical at any thread count — \
-         for fan-out. Two modules are carved out by construction: the \
-         fan-out engine itself, and the job daemon \
-         (`crates/serve/src/daemon.rs`), which may spawn service threads \
-         and read `Instant::now` for deadline enforcement because job \
-         *results* there come solely from the deterministic engine and \
-         cross the journal before anything observes them. Sites that \
-         provably never iterate (e.g. a point-probed LRU index) or that \
-         only feed wall-clock fields excluded from golden comparison keep \
-         the type and take a waiver saying exactly that."
+         for fan-out. Sites that provably never iterate (e.g. a \
+         point-probed LRU index) or that only feed wall-clock fields \
+         excluded from golden comparison keep the type and take a waiver \
+         saying exactly that."
     }
 
     fn applies(&self, rel_path: &str) -> bool {
@@ -67,9 +56,6 @@ impl Rule for NondetSource {
         let toks = &file.lexed.tokens;
         // The fan-out engine may spawn; everything else routes through it.
         let approved_engine = file.rel_path == APPROVED_ENGINE;
-        // The daemon may spawn service threads and read the clock for
-        // deadlines; its job results come from the deterministic engine.
-        let approved_service = file.rel_path == APPROVED_SERVICE;
         const DETERMINISM_FIX: &str = "use BTreeMap/BTreeSet or a seeded RNG";
         const THREADING_FIX: &str =
             "route fan-out through cadapt_analysis::parallel (trial-ordered reduction)";
@@ -87,7 +73,7 @@ impl Rule for NondetSource {
                 "Instant" => {
                     let is_now = matches!(toks.get(i + 1), Some(n) if n.is_punct("::"))
                         && matches!(toks.get(i + 2), Some(n) if n.is_ident("now"));
-                    if !is_now || approved_service {
+                    if !is_now {
                         continue;
                     }
                     ("`Instant::now` (wall clock)".to_string(), DETERMINISM_FIX)
@@ -107,7 +93,7 @@ impl Rule for NondetSource {
                     // `spawn_label` does not.
                     let invoked = i > 0
                         && matches!(toks.get(i - 1), Some(p) if p.is_punct("::") || p.is_punct("."));
-                    if approved_engine || approved_service || !invoked {
+                    if approved_engine || !invoked {
                         continue;
                     }
                     (

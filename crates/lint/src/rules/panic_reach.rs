@@ -34,8 +34,8 @@ impl Rule for PanicReach {
     }
 
     fn explain(&self) -> &'static str {
-        "The engine is embedded in long-running drivers (the bench harness, \
-         the scheduler, the planned `cadapt-serve` daemon). A panic on any \
+        "The engine is embedded in long-running callers (the bench harness \
+         and the scheduler). A panic on any \
          path a caller can actually reach turns a recoverable modelling \
          error into a process abort. This rule replaces the purely lexical \
          `no-panic-lib`: it builds a workspace call graph (name-resolved, \

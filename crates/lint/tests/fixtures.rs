@@ -298,68 +298,8 @@ fn nondet_source_threading_is_allowed_only_in_the_engine() {
 }
 
 #[test]
-fn nondet_source_daemon_may_spawn_and_read_the_clock() {
-    // Linted as the job daemon, the fixture loses the `Instant::now` and
-    // `spawn` diagnostics (deadline enforcement and service threads are
-    // its job; results come from the deterministic engine and cross the
-    // journal) but keeps the HashMap ones — and `crossbeam` stays
-    // flagged: the daemon gets std threads, not an ad-hoc runtime.
-    assert_eq!(
-        lint_fixture("fail/nondet_source.rs", "crates/serve/src/daemon.rs"),
-        [
-            ("nondet-source", 3),
-            ("nondet-source", 5),
-            ("nondet-source", 6),
-            ("nondet-source", 22),
-        ]
-    );
-}
-
-#[test]
 fn nondet_source_pass() {
     assert_eq!(lint_fixture("pass/nondet_source.rs", LIB_PATH), []);
-}
-
-#[test]
-fn net_confine_fail() {
-    // An imported listener, its use in a signature and a bind, an
-    // outbound stream, and a datagram socket — all outside crates/serve.
-    assert_eq!(
-        lint_fixture("fail/net_confine.rs", LIB_PATH),
-        [
-            ("net-confine", 3),
-            ("net-confine", 5),
-            ("net-confine", 6),
-            ("net-confine", 10),
-            ("net-confine", 14),
-        ]
-    );
-}
-
-#[test]
-fn net_confine_pass() {
-    assert_eq!(lint_fixture("pass/net_confine.rs", LIB_PATH), []);
-}
-
-#[test]
-fn net_confine_allows_the_service_crate() {
-    // Inside crates/serve the rule does not apply at all — the daemon and
-    // its protocol client helpers are the approved network boundary.
-    for path in ["crates/serve/src/daemon.rs", "crates/serve/src/protocol.rs"] {
-        assert_eq!(lint_fixture("fail/net_confine.rs", path), [], "{path}");
-    }
-}
-
-#[test]
-fn net_confine_is_scoped_to_library_code() {
-    // Binaries, tests, and benches drive the daemon as clients.
-    for path in [
-        "crates/demo/tests/t.rs",
-        "crates/demo/benches/b.rs",
-        "crates/bench/src/main.rs",
-    ] {
-        assert_eq!(lint_fixture("fail/net_confine.rs", path), [], "{path}");
-    }
 }
 
 #[test]
@@ -483,7 +423,6 @@ fn every_rule_documents_itself() {
         "counter-balance",
         "vm-dispatch",
         "cursor-materialize",
-        "net-confine",
     ] {
         assert!(ids.contains(id), "{id} missing from registry");
     }

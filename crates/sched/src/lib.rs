@@ -35,9 +35,7 @@
 pub mod job;
 pub mod policy;
 pub mod scheduler;
-pub mod stream;
 
 pub use job::{Job, JobOutcome, JobSpec};
 pub use policy::{AllocationPolicy, ChurnShares, EqualShares, WinnerTakeAll};
 pub use scheduler::{ScheduleResult, Scheduler, SchedulerConfig};
-pub use stream::PolicyCursor;
