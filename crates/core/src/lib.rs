@@ -43,7 +43,7 @@ pub mod report;
 pub use counters::CounterSnapshot;
 pub use cursor::{CancelToken, Cancelled, RunCursor, RunCursorExt, SourceCursor};
 pub use error::CoreError;
-pub use memory_profile::MemoryProfile;
+pub use memory_profile::{MemoryProfile, ProfileCursor};
 pub use potential::Potential;
 pub use profile::{BoxRun, BoxSource, SquareProfile};
 pub use progress::{BoxRecord, ProgressLedger};

@@ -115,6 +115,12 @@ impl MemoryProfile {
     }
 
     /// The cache size at I/O timestamp `t`, or `None` past the end.
+    ///
+    /// Scans from the first segment on every call, so it costs O(segments).
+    /// Readers that visit non-decreasing timestamps — every replay does —
+    /// should use [`MemoryProfile::cursor`] instead, which answers in
+    /// amortised O(1); this method stays as the reference the cursor is
+    /// tested against.
     #[must_use]
     pub fn value_at(&self, t: Io) -> Option<Blocks> {
         let mut acc: Io = 0;
@@ -125,6 +131,27 @@ impl MemoryProfile {
             }
         }
         None
+    }
+
+    /// A forward-only reader of m(t), positioned at t = 0.
+    ///
+    /// ```
+    /// use cadapt_core::MemoryProfile;
+    ///
+    /// let profile = MemoryProfile::from_steps(&[3, 3, 7])?;
+    /// let mut m = profile.cursor();
+    /// assert_eq!(m.value_at(0), Some(3));
+    /// assert_eq!(m.value_at(2), Some(7));
+    /// assert_eq!(m.value_at(3), None);
+    /// # Ok::<(), cadapt_core::CoreError>(())
+    /// ```
+    #[must_use]
+    pub fn cursor(&self) -> ProfileCursor<'_> {
+        ProfileCursor {
+            segments: &self.segments,
+            idx: 0,
+            end: self.segments.first().map_or(0, |seg| seg.len),
+        }
     }
 
     /// Check the CA-model growth rule: the cache may grow by at most one
@@ -205,6 +232,39 @@ impl MemoryProfile {
             }
         }
         SquareProfile::from_boxes_unchecked(boxes)
+    }
+}
+
+/// Forward-only reader of a [`MemoryProfile`]: m(t) for non-decreasing t
+/// in amortised O(1), where [`MemoryProfile::value_at`] rescans from the
+/// first segment.
+///
+/// The cursor holds the index of the current segment and that segment's
+/// end time, and only ever steps forward, so a pass that reads m(t) at
+/// every I/O of a replay walks the segment list once in total. Asking for
+/// an earlier timestamp than a previous call is a contract violation
+/// (caught by a debug assertion).
+#[derive(Debug, Clone)]
+pub struct ProfileCursor<'a> {
+    segments: &'a [Segment],
+    /// Index of the segment that contains the last timestamp read.
+    idx: usize,
+    /// Exclusive end time of segment `idx` (0 for the empty profile).
+    end: Io,
+}
+
+impl ProfileCursor<'_> {
+    /// The cache size at I/O timestamp `t`, or `None` past the end (and at
+    /// every later timestamp). `t` must not decrease between calls.
+    pub fn value_at(&mut self, t: Io) -> Option<Blocks> {
+        while t >= self.end {
+            let next = self.segments.get(self.idx + 1)?;
+            self.idx += 1;
+            self.end += next.len;
+        }
+        let seg = self.segments.get(self.idx)?;
+        debug_assert!(t + seg.len >= self.end, "cursor read t = {t} backwards");
+        Some(seg.size)
     }
 }
 
@@ -331,5 +391,59 @@ mod tests {
         let sq = SquareProfile::new(vec![3, 3]).unwrap();
         let p = MemoryProfile::from_square_profile(&sq);
         assert_eq!(p.inner_squares().boxes(), &[3, 3]);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Raw runs for `from_segments`: zero lengths (dropped) and equal
+        /// neighbours (merged) both occur, and so does the empty profile
+        /// (no runs, or only zero-length ones).
+        fn segments() -> impl Strategy<Value = Vec<Segment>> {
+            proptest::collection::vec((1u64..64, 0u64..20), 0..12).prop_map(|runs| {
+                runs.into_iter()
+                    .map(|(size, len)| Segment {
+                        size,
+                        len: Io::from(len),
+                    })
+                    .collect()
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The cursor agrees with the reference scan at every
+            /// timestamp through one past the end, and stays `None` after.
+            #[test]
+            fn cursor_matches_value_at_everywhere(raw in segments()) {
+                let profile = MemoryProfile::from_segments(raw).unwrap();
+                let end = profile.total_time();
+                let mut m = profile.cursor();
+                for t in 0..=end + 1 {
+                    prop_assert_eq!(m.value_at(t), profile.value_at(t), "t = {}", t);
+                }
+                for t in [end + 1, end + 2, end + 1000] {
+                    prop_assert_eq!(m.value_at(t), None, "t = {}", t);
+                }
+            }
+
+            /// Sparse and repeated reads — a replay reads the same t once
+            /// per hit and skips segments between misses — agree too.
+            #[test]
+            fn cursor_matches_value_at_on_skips_and_repeats(
+                raw in segments(),
+                gaps in proptest::collection::vec(0u64..6, 0..40),
+            ) {
+                let profile = MemoryProfile::from_segments(raw).unwrap();
+                let mut m = profile.cursor();
+                let mut t: Io = 0;
+                for gap in gaps {
+                    t += Io::from(gap);
+                    prop_assert_eq!(m.value_at(t), profile.value_at(t), "t = {}", t);
+                }
+            }
+        }
     }
 }

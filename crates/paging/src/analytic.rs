@@ -154,11 +154,14 @@ fn analytic_square_into<S: BoxSource>(
 }
 
 /// Arbitrary-profile replay in closed form — the same [`ProfileReplay`]
-/// as [`replay_memory_profile`].
+/// as [`replay_memory_profile`]. One O(A) pass over the stack distances,
+/// reading m(t) through a forward
+/// [`ProfileCursor`](cadapt_core::ProfileCursor).
 #[must_use]
 pub fn analytic_memory_profile(summary: &TraceSummary, profile: &MemoryProfile) -> ProfileReplay {
     let accesses = summary.accesses();
-    if profile.value_at(0).is_none() {
+    let mut m_at = profile.cursor();
+    if m_at.value_at(0).is_none() {
         // Mirror the simulator: an empty profile completes only the
         // access-free trace, and counts nothing (not even leaves).
         return ProfileReplay {
@@ -177,7 +180,7 @@ pub fn analytic_memory_profile(summary: &TraceSummary, profile: &MemoryProfile) 
     // the bottom iff the cache is full.
     let mut resident: u64 = 0;
     for j in 0..cast::usize_from_u64(accesses) {
-        let Some(m) = profile.value_at(io) else {
+        let Some(m) = m_at.value_at(io) else {
             cadapt_core::counters::count_io(io);
             return ProfileReplay {
                 io,

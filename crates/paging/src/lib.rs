@@ -16,10 +16,16 @@
 //!   replay fed from any [`RunCursor`](cadapt_core::RunCursor) pipeline,
 //!   with cooperative cancellation at run boundaries.
 //! * [`replay::replay_memory_profile`] — the general CA model: an arbitrary
-//!   m(t), evicting down to the new size at every step.
+//!   m(t), evicting down to the new size whenever it shrinks. m(t) is read
+//!   through a forward [`ProfileCursor`](cadapt_core::ProfileCursor), so
+//!   the replay is one O(A) pass however many segments the profile has.
 //!
 //! The LRU structure itself is [`lru::LruCache`], a slab-backed O(1)
-//! doubly-linked implementation; [`opt::replay_opt`] provides Belady's
+//! doubly-linked implementation whose block-id index is a
+//! [`BlockMap`](cadapt_trace::BlockMap) (a std `HashMap` with a fixed
+//! multiplicative hasher; the index is only point-probed). Square-profile
+//! replay reuses one cache for every box, cleared and resized at each box
+//! boundary. [`opt::replay_opt`] provides Belady's
 //! offline-optimal replacement as the baseline the ideal-cache model
 //! assumes, with the Sleator–Tarjan LRU-vs-OPT inequality checked in its
 //! tests.

@@ -1,12 +1,16 @@
 //! Slab-backed O(1) LRU cache over block ids.
 //!
-//! A `HashMap<block, slot>` index into a vector of doubly-linked nodes;
-//! every operation (lookup, touch, insert, evict) is O(1). Capacity can be
+//! A block-id index ([`BlockMap`]`<slot>`: a std `HashMap` with the fixed
+//! multiplicative hasher of [`cadapt_trace::block_map`], one multiply per
+//! probe instead of SipHash) into a vector of doubly-linked nodes; every
+//! operation (lookup, touch, insert, evict) is O(1). The index is only
+//! ever point-probed, so its order cannot reach a result. Capacity can be
 //! changed on the fly (shrinking evicts from the cold end), which is what
-//! the cache-adaptive replay needs at every profile step.
+//! the cache-adaptive replay needs whenever m(t) changes, and one cache
+//! can be reused across boxes with [`LruCache::clear`] +
+//! [`LruCache::resize`], keeping its allocations.
 
-// cadapt-lint: allow(nondet-source) -- HashMap is point-probed only (get/insert/remove); iteration order is never observed, so results cannot depend on it
-use std::collections::HashMap;
+use cadapt_trace::block_map::{BlockMap, BuildBlockHasher};
 
 const NIL: usize = usize::MAX;
 
@@ -27,8 +31,7 @@ struct Node {
 #[derive(Debug)]
 pub struct LruCache {
     capacity: usize,
-    // cadapt-lint: allow(nondet-source) -- HashMap is point-probed only (get/insert/remove); iteration order is never observed, so results cannot depend on it
-    index: HashMap<u64, usize>,
+    index: BlockMap<usize>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     /// Most recently used.
@@ -44,8 +47,7 @@ impl LruCache {
         let prealloc = capacity.min(PREALLOC_CAP);
         LruCache {
             capacity,
-            // cadapt-lint: allow(nondet-source) -- HashMap is point-probed only (get/insert/remove); iteration order is never observed, so results cannot depend on it
-            index: HashMap::with_capacity(prealloc),
+            index: BlockMap::with_capacity_and_hasher(prealloc, BuildBlockHasher::default()),
             nodes: Vec::with_capacity(prealloc),
             free: Vec::new(),
             head: NIL,
@@ -170,6 +172,10 @@ impl LruCache {
     }
 
     /// Drop everything (the "cache cleared at box start" convention).
+    /// Nothing is counted as evicted, and the index and slab keep their
+    /// allocations, so `clear()` + [`resize`](Self::resize)`(n)` turns a
+    /// used cache into the equivalent of `LruCache::new(n)` without
+    /// allocating.
     pub fn clear(&mut self) {
         self.index.clear();
         self.nodes.clear();
@@ -249,6 +255,36 @@ mod tests {
         assert!(c.is_empty());
         assert!(!c.access(1), "post-clear access is a miss");
         assert_eq!(c.len(), 1);
+    }
+
+    /// A cache reused through `clear()` + `resize(n)` is indistinguishable
+    /// from `LruCache::new(n)`: the same hit/miss sequence, and the same
+    /// eviction and hit counts under `Recording`.
+    #[test]
+    fn clear_and_resize_behave_like_a_fresh_cache() {
+        use cadapt_core::counters::Recording;
+        // Strided and repeating ids, long enough to force evictions.
+        let blocks: Vec<u64> = (0..400u64).map(|i| (i * 37 % 23) * 64 + i % 3).collect();
+        let run = |cache: &mut LruCache| {
+            let rec = Recording::start();
+            let hits: Vec<bool> = blocks.iter().map(|&b| cache.access(b)).collect();
+            (hits, rec.finish())
+        };
+        let mut reused = LruCache::new(50);
+        for &b in &blocks {
+            reused.access(b);
+        }
+        for n in [0usize, 1, 3, 8, 20, 64] {
+            let (want_hits, want) = run(&mut LruCache::new(n));
+            reused.clear();
+            reused.resize(n);
+            let (hits, got) = run(&mut reused);
+            assert_eq!(hits, want_hits, "capacity {n}");
+            assert_eq!(got, want, "capacity {n}");
+            if n > 0 && n < 20 {
+                assert!(want.cache_evictions > 0, "capacity {n} never evicted");
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! traces — grounding the paging substrate against the paging theory.
 
 use cadapt_core::{cast, Blocks, Io};
+use cadapt_trace::block_map::{BlockMap, BuildBlockHasher};
 use cadapt_trace::{BlockTrace, TraceEvent};
-// cadapt-lint: allow(nondet-source) -- HashMap is point-probed only (get/insert/remove); iteration order is never observed, so results cannot depend on it
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Outcome of an OPT replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +39,7 @@ pub fn replay_opt(trace: &BlockTrace, cache_blocks: Blocks) -> OptReplay {
         .collect();
     // next_use[i] = index of the next access to the same block, or usize::MAX.
     let mut next_use = vec![usize::MAX; accesses.len()];
-    // cadapt-lint: allow(nondet-source) -- HashMap is point-probed only (get/insert/remove); iteration order is never observed, so results cannot depend on it
-    let mut last_seen: HashMap<u64, usize> = HashMap::new();
+    let mut last_seen: BlockMap<usize> = BlockMap::default();
     for (i, &block) in accesses.iter().enumerate().rev() {
         if let Some(&j) = last_seen.get(&block) {
             next_use[i] = j;
@@ -57,9 +56,10 @@ pub fn replay_opt(trace: &BlockTrace, cache_blocks: Blocks) -> OptReplay {
         };
     }
     // Resident set keyed two ways: block → its next use, and an ordered set
-    // of (next use, block) for O(log n) furthest-victim lookup.
-    // cadapt-lint: allow(nondet-source) -- HashMap is point-probed only (get/insert/remove); iteration order is never observed, eviction order comes from the ordered `by_next` set
-    let mut resident: HashMap<u64, usize> = HashMap::with_capacity(capacity);
+    // of (next use, block) for O(log n) furthest-victim lookup; eviction
+    // order comes from the ordered set, never from the map.
+    let mut resident: BlockMap<usize> =
+        BlockMap::with_capacity_and_hasher(capacity, BuildBlockHasher::default());
     let mut by_next: BTreeSet<(usize, u64)> = BTreeSet::new();
     for (i, &block) in accesses.iter().enumerate() {
         if let Some(&cur_next) = resident.get(&block) {

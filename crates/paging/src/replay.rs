@@ -149,6 +149,10 @@ fn replay_cursor_into<T: TraceStream + ?Sized, C: RunCursor>(
     let mut events = trace.events().peekable();
     let mut boxes: u64 = 0;
     let mut pending: Option<BoxRun> = None;
+    // One cache for the whole replay, cleared and resized at every box
+    // boundary: the same hits and misses as a fresh cache per box, without
+    // a fresh index and slab per box.
+    let mut cache = LruCache::new(0);
     while events.peek().is_some() {
         let run = match pending.take() {
             Some(run) => run,
@@ -173,7 +177,8 @@ fn replay_cursor_into<T: TraceStream + ?Sized, C: RunCursor>(
                 },
             });
         }
-        let mut cache = LruCache::new(cast::usize_from_u64(size));
+        cache.clear();
+        cache.resize(cast::usize_from_u64(size));
         let mut budget = Io::from(size);
         let mut progress: Leaves = 0;
         let mut used: Io = 0;
@@ -184,13 +189,15 @@ fn replay_cursor_into<T: TraceStream + ?Sized, C: RunCursor>(
                     events.next();
                 }
                 TraceEvent::Access(block) => {
-                    if cache.contains(*block) {
-                        let _ = cache.access(*block);
+                    if budget > 0 {
+                        // One probe: a hit is free, a miss spends an I/O.
+                        if !cache.access(*block) {
+                            budget -= 1;
+                            used += 1;
+                        }
                         events.next();
-                    } else if budget > 0 {
+                    } else if cache.contains(*block) {
                         let _ = cache.access(*block);
-                        budget -= 1;
-                        used += 1;
                         events.next();
                     } else {
                         // Box exhausted: this access starts the next box.
@@ -255,20 +262,25 @@ pub struct ProfileReplay {
 /// m(t) blocks after the t-th I/O (LRU replacement, immediate eviction on
 /// shrink). Hits are free; each miss advances t. Returns how far the
 /// profile got; `completed` is false if the profile ended first.
+///
+/// One O(A) pass: m(t) comes from a forward
+/// [`ProfileCursor`](cadapt_core::ProfileCursor), and the cache is
+/// resized only when m(t) changes.
 #[must_use]
 pub fn replay_memory_profile<T: TraceStream + ?Sized>(
     trace: &T,
     profile: &MemoryProfile,
 ) -> ProfileReplay {
     let mut t: Io = 0;
-    let Some(initial) = profile.value_at(0) else {
+    let mut m_at = profile.cursor();
+    let Some(mut current) = m_at.value_at(0) else {
         return ProfileReplay {
             io: 0,
             completed: trace.accesses() == 0,
             leaves: 0,
         };
     };
-    let mut cache = LruCache::new(cast::usize_from_u64(initial));
+    let mut cache = LruCache::new(cast::usize_from_u64(current));
     let mut leaves: Leaves = 0;
     for event in trace.events() {
         match event {
@@ -277,16 +289,17 @@ pub fn replay_memory_profile<T: TraceStream + ?Sized>(
                 // The cache holds m(t) blocks *now*; shrink eagerly so a
                 // smaller allocation evicts immediately (the CA model lets
                 // the size drop arbitrarily between I/Os).
-                match profile.value_at(t) {
-                    None => {
-                        // Profile exhausted: no cache, no I/O budget left.
-                        return ProfileReplay {
-                            io: t,
-                            completed: false,
-                            leaves,
-                        };
-                    }
-                    Some(m) => cache.resize(cast::usize_from_u64(m)),
+                let Some(m) = m_at.value_at(t) else {
+                    // Profile exhausted: no cache, no I/O budget left.
+                    return ProfileReplay {
+                        io: t,
+                        completed: false,
+                        leaves,
+                    };
+                };
+                if m != current {
+                    cache.resize(cast::usize_from_u64(m));
+                    current = m;
                 }
                 if cache.access(block) {
                     continue; // hit: free

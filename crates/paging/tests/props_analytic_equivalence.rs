@@ -17,12 +17,15 @@
 // Test-only code: unwraps abort the test (the right failure mode).
 #![allow(clippy::unwrap_used)]
 
-use cadapt_core::{MemoryProfile, Potential, SquareProfile};
+use cadapt_core::counters::Recording;
+use cadapt_core::memory_profile::Segment;
+use cadapt_core::{cast, Io, Leaves, MemoryProfile, Potential, SquareProfile};
+use cadapt_paging::replay::ProfileReplay;
 use cadapt_paging::{
     analytic_fixed, analytic_memory_profile, analytic_square_profile_history, replay_fixed,
-    replay_memory_profile, replay_square_profile_history,
+    replay_memory_profile, replay_square_profile_history, LruCache,
 };
-use cadapt_trace::{SummarizedTrace, Tracer};
+use cadapt_trace::{SummarizedTrace, TraceEvent, TraceStream, Tracer};
 use proptest::prelude::*;
 
 /// Build a summarised trace from generated `(block, leaf_after)` pairs.
@@ -40,6 +43,63 @@ fn assemble(ops: &[(u64, bool)]) -> SummarizedTrace {
 
 fn ops_strategy() -> impl Strategy<Value = Vec<(u64, bool)>> {
     proptest::collection::vec((0u64..12, proptest::bool::ANY), 0..200)
+}
+
+/// Raw runs for `MemoryProfile::from_segments`: sizes on both sides of the
+/// 12-block universe, each held for up to 23 I/Os (E8's sawtooth holds a
+/// size for many I/Os; `from_steps` yields mostly unit-length segments).
+/// Zero lengths and equal neighbours occur, and totals range from empty
+/// through longer than most traces need, so some replays complete and
+/// others run out mid-trace.
+fn segments_strategy() -> impl Strategy<Value = Vec<Segment>> {
+    proptest::collection::vec((1u64..16, 0u64..24), 0..24).prop_map(|runs| {
+        runs.into_iter()
+            .map(|(size, len)| Segment {
+                size,
+                len: Io::from(len),
+            })
+            .collect()
+    })
+}
+
+/// The arbitrary-profile replay as first written: m(t) re-read from the
+/// first segment with `value_at` and the cache resized at every access.
+/// The simulator's forward cursor and resize-on-change must match it
+/// exactly, counters included.
+fn reference_memory_replay<T: TraceStream>(trace: &T, profile: &MemoryProfile) -> ProfileReplay {
+    let Some(initial) = profile.value_at(0) else {
+        return ProfileReplay {
+            io: 0,
+            completed: trace.accesses() == 0,
+            leaves: 0,
+        };
+    };
+    let mut cache = LruCache::new(cast::usize_from_u64(initial));
+    let (mut t, mut leaves): (Io, Leaves) = (0, 0);
+    for event in trace.events() {
+        match event {
+            TraceEvent::Leaf => leaves += 1,
+            TraceEvent::Access(block) => {
+                let Some(m) = profile.value_at(t) else {
+                    return ProfileReplay {
+                        io: t,
+                        completed: false,
+                        leaves,
+                    };
+                };
+                cache.resize(cast::usize_from_u64(m));
+                if !cache.access(block) {
+                    t += 1;
+                    cadapt_core::counters::count_io(1);
+                }
+            }
+        }
+    }
+    ProfileReplay {
+        io: t,
+        completed: true,
+        leaves,
+    }
 }
 
 proptest! {
@@ -78,18 +138,30 @@ proptest! {
     }
 
     /// Arbitrary m(t) profiles: equal I/O, completion flag, and leaf
-    /// count — including truncated replays where the profile runs out.
+    /// count — including truncated replays where the profile runs out —
+    /// for per-step profiles and for multi-I/O segments. Both backends
+    /// also equal the `value_at` reference replay, and the simulator ticks
+    /// the same counters (hits and evictions included) as the reference.
     #[test]
     fn memory_profiles_are_exact(
         ops in ops_strategy(),
         steps in proptest::collection::vec(1u64..10, 1..80),
+        segments in segments_strategy(),
     ) {
         let st = assemble(&ops);
-        let profile = MemoryProfile::from_steps(&steps).unwrap();
-        prop_assert_eq!(
-            analytic_memory_profile(st.summary(), &profile),
-            replay_memory_profile(st.program(), &profile)
-        );
+        let per_step = MemoryProfile::from_steps(&steps).unwrap();
+        let long_runs = MemoryProfile::from_segments(segments).unwrap();
+        for profile in [per_step, long_runs] {
+            let rec = Recording::start();
+            let reference = reference_memory_replay(st.program(), &profile);
+            let reference_counts = rec.finish();
+            let rec = Recording::start();
+            let simulated = replay_memory_profile(st.program(), &profile);
+            let simulated_counts = rec.finish();
+            prop_assert_eq!(simulated, reference, "profile {:?}", profile.segments());
+            prop_assert_eq!(simulated_counts, reference_counts);
+            prop_assert_eq!(analytic_memory_profile(st.summary(), &profile), reference);
+        }
     }
 
     /// Dominance: a box-local hit implies a fixed-LRU hit at the same

@@ -37,10 +37,9 @@
 //! emit bytecode *directly*, without materialising the event vector; see
 //! the `*_compiled` entry points in the kernel modules.
 
+use crate::block_map::BlockSet;
 use crate::tracer::{BlockTrace, TraceEvent, TraceSink};
 use cadapt_core::{cast, checksum, Blocks, Leaves};
-// cadapt-lint: allow(nondet-source) -- HashSet is membership-probed only (insert/contains) to count distinct blocks; iteration order is never observed
-use std::collections::HashSet;
 
 /// The opcode vocabulary. Discriminants are the encoded bytes, so the
 /// enum is the single source of truth for the wire format; every
@@ -303,8 +302,7 @@ impl Encoder {
 pub struct TraceCompiler {
     block_words: u64,
     prev_block: u64,
-    // cadapt-lint: allow(nondet-source) -- HashSet is membership-probed only (insert/contains) to count distinct blocks; iteration order is never observed
-    seen: HashSet<u64>,
+    seen: BlockSet,
     accesses: u64,
     leaves: Leaves,
     enc: Encoder,
@@ -324,8 +322,7 @@ impl TraceCompiler {
         TraceCompiler {
             block_words,
             prev_block: 0,
-            // cadapt-lint: allow(nondet-source) -- HashSet is membership-probed only (insert/contains) to count distinct blocks; iteration order is never observed
-            seen: HashSet::new(),
+            seen: BlockSet::default(),
             accesses: 0,
             leaves: 0,
             enc: Encoder::default(),

@@ -45,10 +45,16 @@
 //! Every instrumented kernel is generic over [`tracer::TraceSink`], so it
 //! can record events or emit bytecode directly (the `*_compiled` entry
 //! points) without ever materialising the vector.
+//!
+//! Per-access lookups keyed by block id — here and in `cadapt-paging` —
+//! go through [`BlockMap`]/[`BlockSet`] ([`block_map`]): std collections
+//! with a fixed multiplicative hasher, since every block id is generated
+//! by the program's own kernels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod block_map;
 pub mod bytecode;
 pub mod corpus;
 pub mod edit;
@@ -62,6 +68,7 @@ pub mod tracer;
 pub mod transpose;
 pub mod veb;
 
+pub use block_map::{BlockMap, BlockSet};
 pub use bytecode::{compile, TraceCompiler, TraceProgram};
 pub use corpus::{compiled, summarized, SummarizedTrace, TraceAlgo};
 pub use matrix::ZMatrix;

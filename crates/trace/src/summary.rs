@@ -34,11 +34,10 @@
 //! [`leaves_before`](TraceSummary::leaves_before) turns per-box progress
 //! counting into two prefix-sum lookups.
 
+use crate::block_map::{BlockMap, BuildBlockHasher};
 use crate::stream::TraceStream;
 use crate::tracer::TraceEvent;
 use cadapt_core::{cast, Blocks, Io, Leaves};
-// cadapt-lint: allow(nondet-source) -- HashMap is point-probed only (get/insert) to map blocks to their latest access position; iteration order is never observed
-use std::collections::HashMap;
 
 /// Fenwick tree over access positions, used to count "latest occurrence"
 /// flags inside a position range while building stack distances.
@@ -118,8 +117,10 @@ impl TraceSummary {
         let mut depth = Vec::with_capacity(a);
         let mut leaf_before = Vec::with_capacity(a + 1);
         let mut depth_sorted = Vec::new();
-        // cadapt-lint: allow(nondet-source) -- HashMap is point-probed only (get/insert); iteration order is never observed
-        let mut last_pos: HashMap<u64, u64> = HashMap::new();
+        let mut last_pos: BlockMap<u64> = BlockMap::with_capacity_and_hasher(
+            cast::usize_from_u64(trace.distinct_blocks()),
+            BuildBlockHasher::default(),
+        );
         let mut flags = Fenwick::new(a);
         let mut leaves: Leaves = 0;
         let mut j: u64 = 0;

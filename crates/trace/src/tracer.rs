@@ -7,9 +7,8 @@
 //! Base cases additionally mark progress with [`Tracer::leaf`], giving the
 //! replayer the same progress signal the abstract model uses.
 
+use crate::block_map::{BlockSet, BuildBlockHasher};
 use cadapt_core::{Blocks, Leaves};
-// cadapt-lint: allow(nondet-source) -- HashSet is membership-probed only (insert/contains) to count distinct blocks; iteration order is never observed
-use std::collections::HashSet;
 
 /// A consumer of instrumented memory accesses and leaf marks.
 ///
@@ -76,8 +75,7 @@ impl BlockTrace {
 pub struct Tracer {
     block_words: u64,
     events: Vec<TraceEvent>,
-    // cadapt-lint: allow(nondet-source) -- HashSet is membership-probed only (insert/contains) to count distinct blocks; iteration order is never observed
-    seen: HashSet<u64>,
+    seen: BlockSet,
     accesses: u64,
     leaves: Leaves,
 }
@@ -94,8 +92,7 @@ impl Tracer {
         Tracer {
             block_words,
             events: Vec::new(),
-            // cadapt-lint: allow(nondet-source) -- HashSet is membership-probed only (insert/contains) to count distinct blocks; iteration order is never observed
-            seen: HashSet::new(),
+            seen: BlockSet::default(),
             accesses: 0,
             leaves: 0,
         }
@@ -122,8 +119,10 @@ impl Tracer {
         Tracer {
             block_words,
             events: Vec::with_capacity(usize::try_from(events).unwrap_or(0)),
-            // cadapt-lint: allow(nondet-source) -- HashSet is membership-probed only (insert/contains) to count distinct blocks; iteration order is never observed
-            seen: HashSet::with_capacity(usize::try_from(distinct_blocks).unwrap_or(0)),
+            seen: BlockSet::with_capacity_and_hasher(
+                usize::try_from(distinct_blocks).unwrap_or(0),
+                BuildBlockHasher::default(),
+            ),
             accesses: 0,
             leaves: 0,
         }
