@@ -4,8 +4,8 @@
 //! With the feature enabled, the `cadapt-bench` binary installs
 //! `CountingAlloc` as the global allocator: a thin shim over the system
 //! allocator that tracks live bytes and their high-water mark in two
-//! relaxed atomics. The perf suite's `streaming` section resets the mark,
-//! drives a pipeline, and reads `peak_bytes` — turning "O(1) resident
+//! relaxed atomics. E16's at-scale drive resets the mark, streams its
+//! contended pipeline, and reads `peak_bytes` — turning "O(1) resident
 //! state" from a code-review argument into a measured, CI-asserted number.
 //!
 //! Without the feature (the default), every probe returns `None`, nothing

@@ -1,14 +1,14 @@
 //! Crash-safe artifact persistence.
 //!
-//! Run records, checkpoint manifests, perf suites, and fault reports all
-//! reach disk through this module, which provides two guarantees:
+//! Run records, checkpoint manifests, and fault reports all reach disk
+//! through this module, which provides two guarantees:
 //!
 //! * **Atomicity** — [`FsWriter`] writes to `<path>.tmp`, fsyncs, then
 //!   renames over the destination. A crash at any instant leaves either
 //!   the old file or the new file, never a torn mixture; a stray `.tmp`
 //!   is garbage to be overwritten, never read.
 //! * **Integrity** — artifacts that will be *trusted later* (checkpoint
-//!   manifests, perf suites, fault reports) are wrapped in a checksummed
+//!   manifests, fault reports) are wrapped in a checksummed
 //!   envelope: `{"cadapt_envelope": 1, "crc32": "crc32:…", "payload": …}`
 //!   with the CRC taken over the payload's compact rendering.
 //!   [`read_envelope`] recomputes it and refuses truncated, bit-flipped,

@@ -7,7 +7,8 @@
 //!   tables (EXPERIMENTS.md embeds them) and writes run records;
 //! * the workspace integration tests assert the qualitative shape
 //!   (who wins, which growth law);
-//! * `cadapt-bench perf` times the underlying kernels.
+//! * the `perfbench/` package at the repository root times the
+//!   underlying kernels, each call checked against an oracle.
 //!
 //! [`Scale`] keeps the same code usable from debug-mode tests (`Quick`) and
 //! release-mode harness runs (`Full`).
@@ -23,7 +24,6 @@ pub mod error;
 pub mod experiments;
 pub mod faults;
 pub mod harness;
-pub mod perf;
 
 pub use error::BenchError;
 

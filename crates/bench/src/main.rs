@@ -5,7 +5,6 @@
 //! cadapt-bench run    [--exp e1,e2,…] [--size quick|full] [--threads N] [--out DIR]
 //!                     [--checkpoint-every N] [--resume] [--cancel-after MS]
 //! cadapt-bench check  [--exp e1,e2,…] [--size quick|full] [--threads N] [--golden DIR]
-//! cadapt-bench perf   [--size quick|full] [--out FILE]
 //! cadapt-bench faults [--seed N] [--cases N] [--out FILE]
 //! ```
 //!
@@ -47,11 +46,6 @@
 //! thread count (the engine's determinism contract), so `--threads` only
 //! moves wall time.
 //!
-//! `perf` times the per-box baseline against the run-length fast path,
-//! the streaming cursors against the batched drivers, and the experiment
-//! engine's thread-scaling ladder, and writes the suite record (default
-//! `BENCH_9.json`; `--out` overrides the file).
-//!
 //! `faults` runs the deterministic fault-injection harness: `--cases`
 //! fault plans expanded from `--seed`, each attacking the engine's
 //! isolation, atomicity, and checksum guarantees. The report (default
@@ -68,8 +62,8 @@
 
 use cadapt_analysis::parallel::{resolve_threads, run_indexed};
 
-/// With `count-alloc`, every allocation in this process is metered so the
-/// perf suite can assert the streaming pipelines' flat peak memory.
+/// With `count-alloc`, every allocation in this process is metered so E16
+/// can assert its streaming pipeline's flat peak memory.
 #[cfg(feature = "count-alloc")]
 #[global_allocator]
 static GLOBAL: cadapt_bench::alloc_meter::CountingAlloc = cadapt_bench::alloc_meter::CountingAlloc;
@@ -89,18 +83,16 @@ commands:
   list                     print the experiment registry
   run                      run experiments and print their tables
   check                    re-run experiments and diff against goldens
-  perf                     time per-box baseline vs the run-length fast path
   faults                   attack the engine with deterministic fault injection
 
 options:
   --exp ID[,ID…]           experiments to touch (default: all)
-  --size quick|full        scale (default: full for run/perf, quick for check)
+  --size quick|full        scale (default: full for run, quick for check)
   --quick                  shorthand for --size quick
   --threads N              worker-thread budget for run/check sharding and
                            trial fan-out (0 = available parallelism; results
                            are bit-identical at any N)
   --out PATH               run: directory for per-experiment JSON records
-                           perf: output file (default BENCH_9.json)
                            faults: report file (default FAULTS.json)
   --golden DIR             check only: golden directory (default tests/golden)
   --checkpoint-every N     run only: flush a crash-safe MANIFEST.json every N
@@ -444,23 +436,6 @@ fn cmd_check(options: &Options) -> Result<bool, BenchError> {
     Ok(all_passed)
 }
 
-fn cmd_perf(options: &Options) -> Result<(), BenchError> {
-    let scale = options.scale.unwrap_or(Scale::Full);
-    eprintln!(
-        "[cadapt-bench] timing per-box vs batched ({})…",
-        scale.name()
-    );
-    let suite = cadapt_bench::perf::run(scale)?;
-    print!("{}", suite.table());
-    let path = options
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_9.json"));
-    FsWriter.persist(&path, &suite.to_json())?;
-    eprintln!("[cadapt-bench] wrote {}", path.display());
-    Ok(())
-}
-
 fn cmd_faults(options: &Options) -> Result<(), BenchError> {
     let seed = options.seed;
     let scratch = faults::scratch_dir(seed);
@@ -498,7 +473,6 @@ fn dispatch(command: &str, args: &[String]) -> Result<bool, BenchError> {
         },
         "run" => |options| cmd_run(options).map(|()| true),
         "check" => cmd_check,
-        "perf" => |options| cmd_perf(options).map(|()| true),
         "faults" => |options| cmd_faults(options).map(|()| true),
         other => return Err(usage_err(format!("unknown command {other:?}"))),
     };

@@ -123,9 +123,9 @@ fn check_against_mislabelled_golden_exits_4() {
 
 #[test]
 fn usage_errors_exit_2_with_usage_text() {
-    // The retired job daemon's commands and options are refused like any
-    // other unknown name.
-    let cases: [(&[&str], &str); 4] = [
+    // Retired commands (the job daemon's, the old `perf` suite) and
+    // options are refused like any other unknown name.
+    let cases: [(&[&str], &str); 5] = [
         (&["run", "--no-such-flag"], "unknown option"),
         (
             &[
@@ -142,6 +142,7 @@ fn usage_errors_exit_2_with_usage_text() {
             &["faults", "--target", "serve", "--cases", "1"],
             "unknown option",
         ),
+        (&["perf", "--quick"], "unknown command"),
     ];
     for (args, expected) in cases {
         let output = run_bench(args);

@@ -199,16 +199,20 @@ impl SharedCounters {
         SharedCounters::default()
     }
 
-    /// Fold a worker's snapshot into the totals.
+    /// Fold a worker's snapshot into the totals, saturating at `u64::MAX`
+    /// like [`CounterSnapshot::plus`].
     pub fn add(&self, s: &CounterSnapshot) {
-        self.boxes_advanced
-            .fetch_add(s.boxes_advanced, Ordering::Relaxed);
-        self.cursor_steps
-            .fetch_add(s.cursor_steps, Ordering::Relaxed);
-        self.ios_charged.fetch_add(s.ios_charged, Ordering::Relaxed);
-        self.cache_hits.fetch_add(s.cache_hits, Ordering::Relaxed);
-        self.cache_evictions
-            .fetch_add(s.cache_evictions, Ordering::Relaxed);
+        fn saturating_add(total: &AtomicU64, n: u64) {
+            // The closure always returns `Some`, so the update cannot fail.
+            let _ = total.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
+                Some(t.saturating_add(n))
+            });
+        }
+        saturating_add(&self.boxes_advanced, s.boxes_advanced);
+        saturating_add(&self.cursor_steps, s.cursor_steps);
+        saturating_add(&self.ios_charged, s.ios_charged);
+        saturating_add(&self.cache_hits, s.cache_hits);
+        saturating_add(&self.cache_evictions, s.cache_evictions);
     }
 
     /// Read the current totals.
@@ -300,6 +304,18 @@ mod tests {
         let total = shared.snapshot();
         assert_eq!(total.boxes_advanced, 40);
         assert_eq!(total.cache_hits, 4);
+    }
+
+    #[test]
+    fn shared_counters_saturate() {
+        let shared = SharedCounters::new();
+        let near_max = CounterSnapshot {
+            ios_charged: u64::MAX - 1,
+            ..CounterSnapshot::ZERO
+        };
+        shared.add(&near_max);
+        shared.add(&near_max);
+        assert_eq!(shared.snapshot().ios_charged, u64::MAX);
     }
 
     #[test]

@@ -36,8 +36,8 @@ impl Rule for CursorMaterialize {
 
     fn explain(&self) -> &'static str {
         "The streaming-cursor layer exists so contention pipelines run in \
-         O(1) resident state at any length — BENCH_9's flat-peak-memory \
-         assertion and E16's gigabyte-scale replays depend on it. One \
+         O(1) resident state at any length — E16's metered peak-heap \
+         ceiling and its gigabyte-scale replays depend on it. One \
          `.collect::<Vec<_>>()` or `.to_vec()` on a run stream silently \
          re-materialises the profile and turns the constant-memory claim \
          into a function of pipeline length, the exact failure the cursor \

@@ -43,7 +43,4 @@ pub use closed_form::ClosedForms;
 pub use cursor::{BatchOutcome, BoxOutcome, ExecCursor};
 pub use model::ExecModel;
 pub use params::{AbcParams, ScanLayout};
-pub use run::{
-    run_cursor_on_profile, run_cursor_with_ledger, run_on_profile, run_with_ledger, RunConfig,
-    RunError,
-};
+pub use run::{run_cursor_on_profile, run_on_profile, RunConfig, RunError};

@@ -1,21 +1,21 @@
 //! Drivers: run an (a, b, c)-regular execution against a box source or a
 //! streaming [`RunCursor`] pipeline.
 //!
-//! There is exactly **one** run-draining loop in the workspace —
-//! [`run_cursor_with_ledger`] — and everything drives through it: the
-//! legacy [`BoxSource`] entry points wrap the source in a
-//! [`cadapt_core::SourceCursor`], and the Monte-Carlo
-//! drivers in `cadapt-analysis` call the cursor entry points directly.
-//! The loop advances whole runs in closed form on the fast path, expands
-//! runs per box when history retention (or the measured per-box baseline)
-//! needs `BoxRecord`s, and observes cooperative cancellation between runs
-//! as the typed [`RunError::Cancelled`].
+//! There is exactly **one** run-draining loop in the workspace, inside
+//! [`run_cursor_on_profile`], and everything drives through it: the
+//! [`BoxSource`] entry point [`run_on_profile`] wraps the source in a
+//! [`cadapt_core::SourceCursor`], and the Monte-Carlo drivers in
+//! `cadapt-analysis` call the cursor entry point directly. The loop
+//! advances each run of identical boxes in closed form and observes
+//! cooperative cancellation between runs as the typed
+//! [`RunError::Cancelled`]. The per-box reference it is tested against is
+//! the naive walk in [`crate::walk`], which re-derives every box from the
+//! explicit segment list.
 
 use crate::model::ExecModel;
 use crate::params::AbcParams;
 use cadapt_core::{
-    AdaptivityReport, Blocks, BoxRecord, BoxSource, CoreError, ProgressLedger, RunCursor,
-    SourceCursor,
+    AdaptivityReport, Blocks, BoxSource, CoreError, ProgressLedger, RunCursor, SourceCursor,
 };
 
 /// Configuration of a run.
@@ -27,14 +27,6 @@ pub struct RunConfig {
     /// profiles; worst-case profiles at the largest benchmark sizes use
     /// tens of millions of boxes, so the default is generous).
     pub max_boxes: u64,
-    /// Retain the per-box history in the report's ledger.
-    pub retain_history: bool,
-    /// Drain the source by [`BoxRun`](cadapt_core::BoxRun)s, advancing each
-    /// run of identical boxes in closed form (bit-identical results; see
-    /// the differential tests). Disabled automatically when
-    /// `retain_history` needs per-box records, and settable to `false` to
-    /// measure the per-box baseline.
-    pub fast_path: bool,
 }
 
 impl Default for RunConfig {
@@ -42,8 +34,6 @@ impl Default for RunConfig {
         RunConfig {
             model: ExecModel::Simplified,
             max_boxes: 2_000_000_000,
-            retain_history: false,
-            fast_path: true,
         }
     }
 }
@@ -123,27 +113,7 @@ pub fn run_on_profile<S: BoxSource>(
     source: &mut S,
     config: &RunConfig,
 ) -> Result<AdaptivityReport, RunError> {
-    let ledger = run_with_ledger(params, n, source, config)?;
-    Ok(ledger.finish())
-}
-
-/// As [`run_on_profile`], but returns the raw ledger (with per-box history
-/// when `config.retain_history` is set).
-///
-/// # Errors
-///
-/// See [`run_on_profile`].
-pub fn run_with_ledger<S: BoxSource>(
-    params: AbcParams,
-    n: Blocks,
-    source: &mut S,
-    config: &RunConfig,
-) -> Result<ProgressLedger, RunError> {
-    // The legacy BoxSource entry point is a thin bridge: wrap the source
-    // as an infinite cursor and drive the one shared loop. Per-run pull
-    // order and counter updates are identical, so results stay
-    // bit-for-bit what they were before the cursor unification.
-    run_cursor_with_ledger(params, n, &mut SourceCursor::new(source), config)
+    run_cursor_on_profile(params, n, &mut SourceCursor::new(source), config)
 }
 
 /// As [`run_on_profile`], but consume boxes from any streaming
@@ -176,45 +146,18 @@ pub fn run_cursor_on_profile<C: RunCursor>(
     cursor: &mut C,
     config: &RunConfig,
 ) -> Result<AdaptivityReport, RunError> {
-    let ledger = run_cursor_with_ledger(params, n, cursor, config)?;
-    Ok(ledger.finish())
-}
-
-/// As [`run_cursor_on_profile`], but returns the raw ledger (with per-box
-/// history when `config.retain_history` is set). **This is the one
-/// run-draining loop in the workspace**; every other driver delegates
-/// here.
-///
-/// # Errors
-///
-/// See [`run_cursor_on_profile`].
-pub fn run_cursor_with_ledger<C: RunCursor>(
-    params: AbcParams,
-    n: Blocks,
-    source: &mut C,
-    config: &RunConfig,
-) -> Result<ProgressLedger, RunError> {
     // The closed-form and descent tables come from the process-wide cache:
     // repeated trials over the same (params, n) clone a shared start-state
     // cursor instead of rebuilding the tables (bit-identical either way).
-    let mut cursor = crate::cache::cursor_for(params, n).map_err(RunError::BadSize)?;
-    let rho = params.potential();
-    let mut ledger = if config.retain_history {
-        ProgressLedger::retaining(rho, n)
-    } else {
-        ProgressLedger::new(rho, n)
-    };
-    // History retention needs one BoxRecord per box, so runs are expanded
-    // back to per-box advancement there; otherwise whole runs of identical
-    // boxes advance in closed form with bit-identical totals and counters.
-    let drain_runs = config.fast_path && !config.retain_history;
-    while !cursor.is_done() {
+    let mut exec = crate::cache::cursor_for(params, n).map_err(RunError::BadSize)?;
+    let mut ledger = ProgressLedger::new(params.potential(), n);
+    while !exec.is_done() {
         if ledger.boxes_used() >= config.max_boxes {
             return Err(RunError::BoxBudgetExhausted {
                 max_boxes: config.max_boxes,
             });
         }
-        let run = match source.next_run() {
+        let run = match cursor.next_run() {
             Ok(Some(run)) => run,
             Ok(None) => {
                 return Err(RunError::ProfileExhausted {
@@ -228,39 +171,24 @@ pub fn run_cursor_with_ledger<C: RunCursor>(
             }
         };
         debug_assert!(run.repeat >= 1, "runs must be non-empty");
+        // A run cut by the box budget or by completion stops there; the
+        // rest of the run is discarded, per the discard-on-stop law.
         let allowed = config.max_boxes - ledger.boxes_used();
-        if drain_runs {
-            let out = config
-                .model
-                .advance_run(&mut cursor, run.size, run.repeat.min(allowed));
-            cadapt_core::counters::count_boxes(out.consumed);
-            cadapt_core::counters::count_io(out.used);
-            ledger.record_run(run.size, out.progress, out.used, out.consumed);
-        } else {
-            // Expand the run per box (a plain source's default runs have
-            // repeat == 1, reproducing the historical per-box pull
-            // pattern exactly). A mid-run completion discards the rest of
-            // the run, per the discard-on-stop law.
-            let mut left = run.repeat.min(allowed);
-            while left > 0 && !cursor.is_done() {
-                let out = config.model.advance(&mut cursor, run.size);
-                cadapt_core::counters::count_boxes(1);
-                cadapt_core::counters::count_io(out.used);
-                ledger.record(BoxRecord {
-                    size: run.size,
-                    progress: out.progress,
-                    used: out.used,
-                });
-                left -= 1;
-            }
-        }
+        let out = config
+            .model
+            .advance_run(&mut exec, run.size, run.repeat.min(allowed));
+        cadapt_core::counters::count_boxes(out.consumed);
+        cadapt_core::counters::count_io(out.used);
+        ledger.record_run(run.size, out.progress, out.used, out.consumed);
     }
-    Ok(ledger)
+    Ok(ledger.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walk::{naive_capacity_run, naive_simplified_run};
+    use crate::{ClosedForms, ExecCursor};
     use cadapt_core::profile::ConstantSource;
     use cadapt_core::SquareProfile;
 
@@ -308,84 +236,117 @@ mod tests {
         assert!(matches!(err, RunError::BadSize(_)));
     }
 
-    #[test]
-    fn history_retention() {
-        let profile = SquareProfile::new(vec![64]).unwrap();
-        let mut source = profile.extended(1);
-        let config = RunConfig {
-            retain_history: true,
-            ..RunConfig::default()
+    /// Fold per-box records from the naive walk into a report, the way
+    /// the driver's ledger folds whole runs.
+    fn naive_report<S: BoxSource>(
+        params: AbcParams,
+        n: Blocks,
+        source: &mut S,
+        model: ExecModel,
+    ) -> AdaptivityReport {
+        let cf = ClosedForms::for_size(params, n).unwrap();
+        let records = match model {
+            ExecModel::Simplified => naive_simplified_run(&cf, source, u64::MAX),
+            ExecModel::Capacity { cost_factor } => {
+                naive_capacity_run(&cf, source, cost_factor, u64::MAX)
+            }
         };
-        let ledger = run_with_ledger(AbcParams::mm_scan(), 64, &mut source, &config).unwrap();
-        let history = ledger.history().unwrap();
-        assert_eq!(history.len(), 1);
-        assert_eq!(history[0].size, 64);
-        assert_eq!(history[0].progress, 512);
+        let mut ledger = ProgressLedger::new(params.potential(), n);
+        for record in records {
+            ledger.record(record);
+        }
+        ledger.finish()
+    }
+
+    /// Every report field equal, the floats by bit pattern.
+    fn assert_reports_bitwise_eq(got: &AdaptivityReport, want: &AdaptivityReport, what: &str) {
+        assert_eq!(got, want, "{what}");
+        let float_bits = |r: &AdaptivityReport| {
+            [
+                r.exponent,
+                r.bounded_potential_sum,
+                r.raw_potential_sum,
+                r.required_progress,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(float_bits(got), float_bits(want), "{what}");
+    }
+
+    /// M_{a,b}(b^depth) with unit leaves: the post-order traversal of the
+    /// complete a-ary tree, each node of size m emitting one box of size m
+    /// after its children. This is the box sequence of
+    /// `cadapt_profiles::WorstCase::new(a, b, 1, depth)`, rebuilt here
+    /// because that crate depends on this one.
+    fn worst_case_profile(a: u64, b: u64, depth: u32) -> SquareProfile {
+        fn emit(a: u64, b: u64, level: u32, out: &mut Vec<Blocks>) {
+            if level > 0 {
+                for _ in 0..a {
+                    emit(a, b, level - 1, out);
+                }
+            }
+            out.push(b.pow(level));
+        }
+        let mut sizes = Vec::new();
+        emit(a, b, depth, &mut sizes);
+        SquareProfile::new(sizes).unwrap()
     }
 
     #[test]
-    fn fast_path_matches_per_box_bitwise() {
-        let profile =
-            SquareProfile::new(vec![1, 1, 1, 1, 16, 16, 2, 2, 2, 64, 4, 4, 4, 4]).unwrap();
-        for model in [ExecModel::Simplified, ExecModel::capacity()] {
-            let fast_config = RunConfig {
-                model,
-                ..RunConfig::default()
-            };
-            let slow_config = RunConfig {
-                model,
-                fast_path: false,
-                ..RunConfig::default()
-            };
-            let mut fast_source = profile.cycle();
-            let mut slow_source = profile.cycle();
-            let fast =
-                run_on_profile(AbcParams::mm_scan(), 256, &mut fast_source, &fast_config).unwrap();
-            let slow =
-                run_on_profile(AbcParams::mm_scan(), 256, &mut slow_source, &slow_config).unwrap();
-            assert_eq!(fast.boxes_used, slow.boxes_used, "{}", model.label());
-            assert_eq!(fast.total_progress, slow.total_progress);
-            assert_eq!(fast.total_io, slow.total_io);
-            assert_eq!(fast.max_box, slow.max_box);
-            assert_eq!(fast.min_box, slow.min_box);
-            assert_eq!(
-                fast.bounded_potential_sum.to_bits(),
-                slow.bounded_potential_sum.to_bits()
-            );
-            assert_eq!(
-                fast.raw_potential_sum.to_bits(),
-                slow.raw_potential_sum.to_bits()
-            );
+    fn batched_runs_match_the_naive_walk_bitwise() {
+        let mixed = SquareProfile::new(vec![1, 1, 1, 1, 16, 16, 2, 2, 2, 64, 4, 4, 4, 4]).unwrap();
+        // The wide adversary: a = 16 makes leaf bursts of 16 unit boxes,
+        // the runs worst-case experiments spend their time in.
+        let wide = AbcParams::new(16, 4, 1.0, 1).unwrap();
+        let depth = 3;
+        let adversary = worst_case_profile(16, 4, depth);
+        let cases = [
+            ("mixed", AbcParams::mm_scan(), 256, &mixed),
+            (
+                "wide adversary",
+                wide,
+                wide.canonical_size(depth),
+                &adversary,
+            ),
+        ];
+        for (name, params, n, profile) in cases {
+            for model in [ExecModel::Simplified, ExecModel::capacity()] {
+                let config = RunConfig {
+                    model,
+                    ..RunConfig::default()
+                };
+                let batched = run_on_profile(params, n, &mut profile.cycle(), &config).unwrap();
+                let naive = naive_report(params, n, &mut profile.cycle(), model);
+                assert_reports_bitwise_eq(&batched, &naive, &format!("{name}, {}", model.label()));
+            }
         }
     }
 
     #[test]
-    fn fast_path_counters_match_per_box() {
-        use cadapt_core::counters::Recording;
-        let mut fast_source = ConstantSource::new(16);
-        let mut slow_source = ConstantSource::new(16);
-        let rec = Recording::start();
-        let _ = run_on_profile(
-            AbcParams::mm_scan(),
-            1024,
-            &mut fast_source,
-            &RunConfig::default(),
-        )
-        .unwrap();
-        let fast = rec.finish();
-        let rec = Recording::start();
-        let _ = run_on_profile(
-            AbcParams::mm_scan(),
-            1024,
-            &mut slow_source,
-            &RunConfig {
-                fast_path: false,
+    fn batched_counters_match_per_box() {
+        use cadapt_core::counters::{count_boxes, count_io, Recording};
+        let params = AbcParams::mm_scan();
+        let n = 1024;
+        for model in [ExecModel::Simplified, ExecModel::capacity()] {
+            let config = RunConfig {
+                model,
                 ..RunConfig::default()
-            },
-        )
-        .unwrap();
-        let slow = rec.finish();
-        assert_eq!(fast, slow);
+            };
+            let rec = Recording::start();
+            let _ = run_on_profile(params, n, &mut ConstantSource::new(16), &config).unwrap();
+            let batched = rec.finish();
+            // The per-box reference: one `ExecModel::advance` per box,
+            // counted the way the driver counts a run.
+            let rec = Recording::start();
+            let mut cursor = ExecCursor::new(ClosedForms::for_size(params, n).unwrap());
+            while !cursor.is_done() {
+                let out = model.advance(&mut cursor, 16);
+                count_boxes(1);
+                count_io(out.used);
+            }
+            let per_box = rec.finish();
+            assert_eq!(batched, per_box, "{}", model.label());
+        }
     }
 
     #[test]

@@ -78,39 +78,58 @@ fn corpus_traces_are_lock_step_on_random_menus() {
 
 #[test]
 fn fixed_capacities_match_and_obey_the_dominance_chain() {
-    for algo in TraceAlgo::ALL {
-        let st = summarized(algo, SIDE, BLOCK_WORDS);
-        let rho = algo.potential();
-        let mut previous: Option<u128> = None;
-        for capacity in (0u64..=32).chain([128, 1024, 1 << 30]) {
-            let ana = analytic_fixed(st.summary(), capacity);
-            let sim = replay_fixed(st.program(), capacity);
-            assert_eq!(ana, sim, "{} at capacity {capacity}", algo.label());
-            // Fixed faults are monotone non-increasing in capacity
-            // (LRU's inclusion property), and never drop below the
-            // working-set size (every distinct block faults once).
-            assert!(ana.io >= u128::from(st.summary().distinct_blocks()));
-            if let Some(prev) = previous {
-                assert!(
-                    ana.io <= prev,
-                    "{}: faults rose at capacity {capacity}",
-                    algo.label()
-                );
-            }
-            previous = Some(ana.io);
+    let sweeps: [(usize, Vec<u64>); 2] = [
+        (SIDE, (0u64..=32).chain([128, 1024, 1 << 30]).collect()),
+        // The power-of-two sweep over side-32 traces, the size the
+        // analytic backend's per-query speedup was first timed at.
+        (32, (2..=12).map(|j| 1u64 << j).collect()),
+    ];
+    for (side, capacities) in sweeps {
+        for algo in TraceAlgo::ALL {
+            check_fixed_sweep(algo, side, &capacities);
+        }
+    }
+}
 
-            // A box-local hit implies a fixed-LRU hit at the same
-            // capacity, so box-cleared replay can only cost more.
-            if capacity > 0 {
-                let profile = SquareProfile::new(vec![capacity]).expect("positive box");
-                let (square, _) =
-                    analytic_square_profile_history(st.summary(), &mut profile.cycle(), rho);
-                assert!(
-                    square.total_io >= ana.io,
-                    "{}: square replay at x={capacity} undercut the fixed cache",
-                    algo.label()
-                );
-            }
+/// Fixed-capacity lock-step and the dominance chain for one trace over
+/// ascending `capacities`.
+fn check_fixed_sweep(algo: TraceAlgo, side: usize, capacities: &[u64]) {
+    let st = summarized(algo, side, BLOCK_WORDS);
+    let rho = algo.potential();
+    let mut previous: Option<u128> = None;
+    for &capacity in capacities {
+        let ana = analytic_fixed(st.summary(), capacity);
+        let sim = replay_fixed(st.program(), capacity);
+        assert_eq!(
+            ana,
+            sim,
+            "{} at side {side}, capacity {capacity}",
+            algo.label()
+        );
+        // Fixed faults are monotone non-increasing in capacity
+        // (LRU's inclusion property), and never drop below the
+        // working-set size (every distinct block faults once).
+        assert!(ana.io >= u128::from(st.summary().distinct_blocks()));
+        if let Some(prev) = previous {
+            assert!(
+                ana.io <= prev,
+                "{} at side {side}: faults rose at capacity {capacity}",
+                algo.label()
+            );
+        }
+        previous = Some(ana.io);
+
+        // A box-local hit implies a fixed-LRU hit at the same
+        // capacity, so box-cleared replay can only cost more.
+        if capacity > 0 {
+            let profile = SquareProfile::new(vec![capacity]).expect("positive box");
+            let (square, _) =
+                analytic_square_profile_history(st.summary(), &mut profile.cycle(), rho);
+            assert!(
+                square.total_io >= ana.io,
+                "{} at side {side}: square replay at x={capacity} undercut the fixed cache",
+                algo.label()
+            );
         }
     }
 }

@@ -31,6 +31,10 @@ use std::path::Path;
 
 const SIDE: usize = 16;
 const BLOCK_WORDS: u64 = 4;
+/// Sides the lossless and canonical contracts are checked at: the pinned
+/// side, and side 32, where the corpus programs start to repeat loops
+/// long enough to exercise the encoder's spill window.
+const CHECKED_SIDES: [usize; 2] = [SIDE, 32];
 
 /// `(algorithm, CRC-32, byte length, accesses, event count)` of every
 /// corpus program at side 16, block size 4 words. These pin the bytecode
@@ -71,22 +75,24 @@ fn corpus_bytecode_is_pinned() {
 
 #[test]
 fn decoded_streams_equal_recorded_traces() {
-    for algo in TraceAlgo::EXTENDED {
-        let trace = algo.trace(SIDE, BLOCK_WORDS);
-        let program = compiled(algo, SIDE, BLOCK_WORDS);
-        assert!(
-            program.events().eq(trace.events().iter().copied()),
-            "{}: decoded stream diverged from the recorded event vector",
-            algo.label()
-        );
-        assert_eq!(program.accesses(), trace.accesses());
-        assert_eq!(program.leaves(), trace.leaves());
-        assert_eq!(program.distinct_blocks(), trace.distinct_blocks());
-        // The decoder advertises an exact length, so consumers can
-        // preallocate without trusting the stream.
-        let (lo, hi) = program.events().size_hint();
-        assert_eq!(Some(lo), hi);
-        assert_eq!(lo as u128, program.event_count());
+    for side in CHECKED_SIDES {
+        for algo in TraceAlgo::EXTENDED {
+            let trace = algo.trace(side, BLOCK_WORDS);
+            let program = compiled(algo, side, BLOCK_WORDS);
+            assert!(
+                program.events().eq(trace.events().iter().copied()),
+                "{} at side {side}: decoded stream diverged from the recorded event vector",
+                algo.label()
+            );
+            assert_eq!(program.accesses(), trace.accesses());
+            assert_eq!(program.leaves(), trace.leaves());
+            assert_eq!(program.distinct_blocks(), trace.distinct_blocks());
+            // The decoder advertises an exact length, so consumers can
+            // preallocate without trusting the stream.
+            let (lo, hi) = program.events().size_hint();
+            assert_eq!(Some(lo), hi);
+            assert_eq!(lo as u128, program.event_count());
+        }
     }
 }
 
@@ -96,14 +102,16 @@ fn structural_emission_equals_recompilation() {
     // vector; compiling the recorded trace does. Both must produce the
     // same bytes, or the memoized corpus store would hand out programs
     // that disagree with the traces they claim to represent.
-    for algo in TraceAlgo::EXTENDED {
-        let recorded = algo.trace(SIDE, BLOCK_WORDS);
-        assert_eq!(
-            *compiled(algo, SIDE, BLOCK_WORDS),
-            compile(&recorded),
-            "{}: structural emission diverged from recompilation",
-            algo.label()
-        );
+    for side in CHECKED_SIDES {
+        for algo in TraceAlgo::EXTENDED {
+            let recorded = algo.trace(side, BLOCK_WORDS);
+            assert_eq!(
+                *compiled(algo, side, BLOCK_WORDS),
+                compile(&recorded),
+                "{} at side {side}: structural emission diverged from recompilation",
+                algo.label()
+            );
+        }
     }
 }
 
