@@ -74,7 +74,8 @@ pub fn replay_fixed<T: TraceStream + ?Sized>(trace: &T, cache_blocks: Blocks) ->
     let mut cache = LruCache::new(cast::usize_from_u64(cache_blocks));
     let mut io: Io = 0;
     let mut accesses: u64 = 0;
-    for event in trace.events() {
+    // `for_each` drains through the decoder's `fold` fast path.
+    trace.events().for_each(|event| {
         if let TraceEvent::Access(block) = event {
             accesses += 1;
             if !cache.access(block) {
@@ -82,7 +83,7 @@ pub fn replay_fixed<T: TraceStream + ?Sized>(trace: &T, cache_blocks: Blocks) ->
                 cadapt_core::counters::count_io(1);
             }
         }
-    }
+    });
     FixedReplay {
         cache_blocks,
         io,

@@ -37,7 +37,7 @@
 //! emit bytecode *directly*, without materialising the event vector; see
 //! the `*_compiled` entry points in the kernel modules.
 
-use crate::block_map::BlockSet;
+use crate::block_map::DistinctBlocks;
 use crate::tracer::{BlockTrace, TraceEvent, TraceSink};
 use cadapt_core::{cast, checksum, Blocks, Leaves};
 
@@ -132,56 +132,132 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
     x
 }
 
-/// One encoder atom: an event (or folded group) that loop detection
-/// treats as a unit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Atom {
-    Leaf,
-    Access(u64),
-    Run { n: u64, d: u64 },
-    Loop { reps: u64, body: Vec<Atom> },
+/// Bytes of the LEB128 varint [`push_varint`] writes for `x`.
+fn varint_len(x: u64) -> u64 {
+    u64::from(64 - (x | 1).leading_zeros()).div_ceil(7)
 }
 
-fn serialize_atom(bytes: &mut Vec<u8>, atom: &Atom) {
-    match atom {
-        Atom::Leaf => bytes.push(Opcode::Leaf.byte()),
-        Atom::Access(d) => {
-            bytes.push(Opcode::Access.byte());
-            push_varint(bytes, zigzag(*d));
-        }
-        Atom::Run { n, d } => {
-            bytes.push(Opcode::Run.byte());
-            push_varint(bytes, *n);
-            push_varint(bytes, zigzag(*d));
-        }
-        Atom::Loop { reps, body } => {
-            let mut tmp = Vec::new();
-            for a in body {
-                serialize_atom(&mut tmp, a);
+/// One loop-free encoder atom: a leaf mark (`n == 0`), a lone access by
+/// delta `d` (`n == 1`) or a run of `n ≥ 2` accesses each advancing by
+/// `d`. Every atom has exactly one `(n, d)`, so two slots are equal
+/// exactly when their encodings are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    n: u64,
+    d: u64,
+}
+
+impl Slot {
+    const LEAF: Slot = Slot { n: 0, d: 0 };
+    /// Equal to no atom (a leaf has `d == 0`): the encoder's placeholder
+    /// before the first atom of its tail.
+    const NONE: Slot = Slot { n: 0, d: 1 };
+
+    fn write(self, bytes: &mut Vec<u8>) {
+        match self.n {
+            0 => bytes.push(Opcode::Leaf.byte()),
+            1 => {
+                bytes.push(Opcode::Access.byte());
+                push_varint(bytes, zigzag(self.d));
             }
-            bytes.push(Opcode::Loop.byte());
-            push_varint(bytes, *reps);
-            push_varint(bytes, cast::u64_from_usize(tmp.len()));
-            bytes.extend_from_slice(&tmp);
+            n => {
+                bytes.push(Opcode::Run.byte());
+                push_varint(bytes, n);
+                push_varint(bytes, zigzag(self.d));
+            }
+        }
+    }
+
+    /// Bytes [`Slot::write`] appends.
+    fn byte_len(self) -> u64 {
+        match self.n {
+            0 => 1,
+            1 => 1 + varint_len(zigzag(self.d)),
+            n => 1 + varint_len(n) + varint_len(zigzag(self.d)),
         }
     }
 }
 
-/// Online, bounded-memory bytecode encoder: run-length folds consecutive
-/// equal deltas, then detects repeated atom patterns (period ≤
-/// [`MAX_PERIOD`]) inside a sliding window of at most [`COMMIT_AT`] atoms.
-/// Atoms that leave the window are serialized and can no longer fold —
-/// the spill points depend only on the event stream, so encoding stays a
-/// pure function of the input.
-#[derive(Debug, Default)]
+/// A `LOOP` atom: `reps` copies of the first `len` slots of `body`, kept
+/// inline so forming or growing a loop never allocates.
+#[derive(Debug, Clone, Copy)]
+struct LoopSlot {
+    reps: u64,
+    len: usize,
+    body: [Slot; MAX_PERIOD],
+    /// Encoded length of the body, summed from its slots.
+    body_bytes: u64,
+}
+
+impl LoopSlot {
+    fn body(&self) -> &[Slot] {
+        self.body.get(..self.len).unwrap_or_default()
+    }
+
+    fn write(&self, bytes: &mut Vec<u8>) {
+        bytes.push(Opcode::Loop.byte());
+        push_varint(bytes, self.reps);
+        push_varint(bytes, self.body_bytes);
+        for &slot in self.body() {
+            slot.write(bytes);
+        }
+    }
+}
+
+/// Online, bounded-memory bytecode encoder. Run-length folding turns
+/// consecutive equal deltas into atoms; loop detection then works on a
+/// sliding window of unwritten atoms (a loop counts as one), greedily, on
+/// every new atom:
+///
+/// 1. if the atoms after the newest `LOOP` are one more copy of its body,
+///    the loop gains a repetition;
+/// 2. otherwise, if the newest `2p` atoms are two copies of a loop-free
+///    pattern (smallest period `p ≤ MAX_PERIOD` first), they become a
+///    two-repetition `LOOP`;
+/// 3. otherwise, once the window passes [`COMMIT_AT`] atoms, all but the
+///    newest [`RETAIN`] are written out.
+///
+/// Atoms older than the newest loop can never change again, so they are
+/// written out as soon as a newer loop forms; the window is the newest
+/// loop, with its body inline, and the loop-free `Copy` slots after it.
+/// Where the window is cut never changes a byte: a spill writes a loop
+/// out only once more than [`MAX_PERIOD`] atoms follow it, when step 1
+/// can no longer apply, and the [`RETAIN`] ≥ `2 · MAX_PERIOD` atoms kept
+/// hold every pattern step 2 can still fold. Step 2 is one compare per period
+/// against the [`MAX_PERIOD`] slots before the new atom, because
+/// `matched` tracks, for every period, how many of the newest slots
+/// equal their image one period back. Encoding is a pure function of the
+/// event stream.
+#[derive(Debug)]
 struct Encoder {
     bytes: Vec<u8>,
-    atoms: Vec<Atom>,
-    /// Index into `atoms` of the most recent `Loop`, the only merge
-    /// target for an arriving repetition of its body.
-    last_loop: Option<usize>,
+    /// The newest loop, the only one that can still grow.
+    last_loop: Option<LoopSlot>,
+    /// [`MAX_PERIOD`] [`Slot::NONE`] placeholders, then the atoms after
+    /// `last_loop` (every unwritten atom if there is none). With the
+    /// placeholders every period has an image, so the compares run over
+    /// a fixed-length array.
+    tail: Vec<Slot>,
+    /// `matched[MAX_PERIOD - p]`: how many of the newest tail atoms equal
+    /// the slot `p` before them. Always below `p` between atoms, since
+    /// reaching `p` forms a loop. No placeholder equals an atom, so the
+    /// counts restart by themselves once the tail is emptied.
+    matched: [usize; MAX_PERIOD],
     run_d: u64,
     run_n: u64,
+}
+
+impl Default for Encoder {
+    fn default() -> Self {
+        Encoder {
+            bytes: Vec::new(),
+            last_loop: None,
+            tail: vec![Slot::NONE; MAX_PERIOD],
+            matched: [0; MAX_PERIOD],
+            run_d: 0,
+            run_n: 0,
+        }
+    }
 }
 
 impl Encoder {
@@ -197,94 +273,99 @@ impl Encoder {
 
     fn leaf(&mut self) {
         self.flush_run();
-        self.push_atom(Atom::Leaf);
+        self.push_atom(Slot::LEAF);
     }
 
     fn flush_run(&mut self) {
         let (n, d) = (self.run_n, self.run_d);
         self.run_n = 0;
-        match n {
-            0 => {}
-            1 => self.push_atom(Atom::Access(d)),
-            _ => self.push_atom(Atom::Run { n, d }),
+        if n > 0 {
+            self.push_atom(Slot { n, d });
         }
     }
 
-    fn push_atom(&mut self, atom: Atom) {
-        self.atoms.push(atom);
-        loop {
-            if self.try_extend_loop() || self.try_form_loop() {
-                continue;
-            }
-            break;
-        }
-        if self.atoms.len() > COMMIT_AT {
-            let spill = self.atoms.len() - RETAIN;
-            for atom in self.atoms.drain(..spill) {
-                serialize_atom(&mut self.bytes, &atom);
-            }
-            self.last_loop = self.last_loop.and_then(|i| i.checked_sub(spill));
-        }
+    /// The atoms after the newest loop, without the placeholders.
+    fn tail_atoms(&self) -> &[Slot] {
+        self.tail.get(MAX_PERIOD..).unwrap_or_default()
     }
 
-    /// If everything after the most recent `Loop` is exactly one more copy
-    /// of its body, fold it in as one extra repetition.
-    fn try_extend_loop(&mut self) -> bool {
-        let Some(li) = self.last_loop else {
-            return false;
+    fn push_atom(&mut self, atom: Slot) {
+        self.tail.push(atom);
+        if let Some(lp) = &mut self.last_loop {
+            if self.tail.get(MAX_PERIOD..).unwrap_or_default() == lp.body() {
+                lp.reps += 1;
+                self.tail.truncate(MAX_PERIOD);
+                return;
+            }
+        }
+        // The slots one to MAX_PERIOD places before the new atom, oldest
+        // first: the image of period p is `images[MAX_PERIOD - p]`, and
+        // `matched` is indexed the same way. Whether an image matches is
+        // data, so the update is branch-free; periods are visited largest
+        // first, so the smallest that is ready wins.
+        let older = self.tail.split_last().map_or(&[][..], |(_, older)| older);
+        let Some(images) = older.last_chunk::<MAX_PERIOD>() else {
+            return; // unreachable: the placeholders are never removed
         };
-        let (head, tail) = self.atoms.split_at(li + 1);
-        let Some(Atom::Loop { body, .. }) = head.last() else {
-            return false;
-        };
-        if tail.len() != body.len() || tail != &body[..] {
-            return false;
+        let mut fold = 0;
+        for (i, (matched, image)) in self.matched.iter_mut().zip(images).enumerate() {
+            let same = (image.n == atom.n) & (image.d == atom.d);
+            *matched = usize::from(same) * (*matched + 1);
+            if *matched >= MAX_PERIOD - i {
+                fold = MAX_PERIOD - i;
+            }
         }
-        self.atoms.truncate(li + 1);
-        if let Some(Atom::Loop { reps, .. }) = self.atoms.last_mut() {
-            *reps += 1;
+        if fold > 0 {
+            self.form_loop(fold);
+        } else if usize::from(self.last_loop.is_some()) + self.tail_atoms().len() > COMMIT_AT {
+            self.spill();
         }
-        true
     }
 
-    /// If the newest atoms form two back-to-back copies of a loop-free
-    /// pattern, fold them into a fresh two-repetition `Loop`. Smallest
-    /// period wins, keeping the encoding canonical.
-    fn try_form_loop(&mut self) -> bool {
-        let n = self.atoms.len();
-        if matches!(self.atoms.last(), None | Some(Atom::Loop { .. })) {
-            return false;
+    /// Fold the newest `2p` tail atoms, two copies of one pattern, into a
+    /// fresh two-repetition loop, writing out the old loop and the atoms
+    /// before the pattern.
+    fn form_loop(&mut self, p: usize) {
+        if let Some(lp) = self.last_loop.take() {
+            lp.write(&mut self.bytes);
         }
-        for p in 1..=MAX_PERIOD.min(n / 2) {
-            // Cheap gate before the full window compare: the halves can
-            // only match if the newest atom equals its image one period
-            // back.
-            // cadapt-lint: allow(panic-reach) -- p <= n/2 by the loop bound, so n-1-p is in-bounds
-            if self.atoms[n - 1] != self.atoms[n - 1 - p] {
-                continue;
-            }
-            let first = &self.atoms[n - 2 * p..n - p]; // cadapt-lint: allow(panic-reach) -- p <= n/2 by the loop bound, so n-2p >= 0
-                                                       // cadapt-lint: allow(panic-reach) -- p <= n/2 by the loop bound
-            if first != &self.atoms[n - p..] {
-                continue;
-            }
-            if first.iter().any(|a| matches!(a, Atom::Loop { .. })) {
-                continue; // bodies stay flat
-            }
-            let body: Vec<Atom> = self.atoms[n - p..].to_vec(); // cadapt-lint: allow(panic-reach) -- p <= n/2 by the loop bound
-            self.atoms.truncate(n - 2 * p);
-            self.atoms.push(Atom::Loop { reps: 2, body });
-            self.last_loop = Some(self.atoms.len() - 1);
-            return true;
+        let before = self.tail_atoms().len() - 2 * p;
+        let mut atoms = self.tail.drain(MAX_PERIOD..);
+        for slot in atoms.by_ref().take(before) {
+            slot.write(&mut self.bytes);
         }
-        false
+        let mut lp = LoopSlot {
+            reps: 2,
+            len: p,
+            body: [Slot::LEAF; MAX_PERIOD],
+            body_bytes: 0,
+        };
+        for (dst, slot) in lp.body.iter_mut().zip(atoms.skip(p)) {
+            *dst = slot;
+            lp.body_bytes += slot.byte_len();
+        }
+        self.last_loop = Some(lp);
+    }
+
+    /// Write out all but the newest [`RETAIN`] atoms of a full window: the
+    /// loop, which is the oldest, then the oldest tail atoms.
+    fn spill(&mut self) {
+        if let Some(lp) = self.last_loop.take() {
+            lp.write(&mut self.bytes);
+        }
+        let written = self.tail_atoms().len() - RETAIN;
+        for slot in self.tail.drain(MAX_PERIOD..MAX_PERIOD + written) {
+            slot.write(&mut self.bytes);
+        }
     }
 
     fn finish(mut self) -> Vec<u8> {
         self.flush_run();
-        let atoms = std::mem::take(&mut self.atoms);
-        for atom in &atoms {
-            serialize_atom(&mut self.bytes, atom);
+        if let Some(lp) = self.last_loop {
+            lp.write(&mut self.bytes);
+        }
+        for &slot in self.tail.get(MAX_PERIOD..).unwrap_or_default() {
+            slot.write(&mut self.bytes);
         }
         self.bytes
     }
@@ -302,7 +383,7 @@ impl Encoder {
 pub struct TraceCompiler {
     block_words: u64,
     prev_block: u64,
-    seen: BlockSet,
+    seen: DistinctBlocks,
     accesses: u64,
     leaves: Leaves,
     enc: Encoder,
@@ -322,7 +403,7 @@ impl TraceCompiler {
         TraceCompiler {
             block_words,
             prev_block: 0,
-            seen: BlockSet::default(),
+            seen: DistinctBlocks::default(),
             accesses: 0,
             leaves: 0,
             enc: Encoder::default(),
@@ -357,7 +438,7 @@ impl TraceCompiler {
         TraceProgram {
             bytes: self.enc.finish(),
             accesses: self.accesses,
-            distinct_blocks: self.seen.len() as Blocks,
+            distinct_blocks: self.seen.len(),
             leaves: self.leaves,
         }
     }

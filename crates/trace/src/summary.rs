@@ -124,40 +124,39 @@ impl TraceSummary {
         let mut flags = Fenwick::new(a);
         let mut leaves: Leaves = 0;
         let mut j: u64 = 0;
-        for event in events {
-            match event {
-                TraceEvent::Leaf => leaves += 1,
-                TraceEvent::Access(block) => {
-                    leaf_before.push(leaves);
-                    let ju = cast::usize_from_u64(j);
-                    match last_pos.insert(block, j) {
-                        None => {
-                            prev1.push(0);
-                            depth.push(0);
-                        }
-                        Some(p) => {
-                            let pu = cast::usize_from_u64(p);
-                            prev1.push(p + 1);
-                            // Distinct blocks strictly between p and j are
-                            // the "latest occurrence" flags in (p, j); the
-                            // block itself adds 1.
-                            let between = if ju > pu + 1 {
-                                flags.prefix(ju - 1).wrapping_sub(flags.prefix(pu))
-                            } else {
-                                0
-                            };
-                            let d = between + 1;
-                            depth.push(d);
-                            depth_sorted.push(d);
-                            // The block's latest occurrence moves to j.
-                            flags.add(pu, 1u64.wrapping_neg());
-                        }
+        // `for_each` drains through the decoder's `fold` fast path.
+        events.for_each(|event| match event {
+            TraceEvent::Leaf => leaves += 1,
+            TraceEvent::Access(block) => {
+                leaf_before.push(leaves);
+                let ju = cast::usize_from_u64(j);
+                match last_pos.insert(block, j) {
+                    None => {
+                        prev1.push(0);
+                        depth.push(0);
                     }
-                    flags.add(ju, 1);
-                    j += 1;
+                    Some(p) => {
+                        let pu = cast::usize_from_u64(p);
+                        prev1.push(p + 1);
+                        // Distinct blocks strictly between p and j are
+                        // the "latest occurrence" flags in (p, j); the
+                        // block itself adds 1.
+                        let between = if ju > pu + 1 {
+                            flags.prefix(ju - 1).wrapping_sub(flags.prefix(pu))
+                        } else {
+                            0
+                        };
+                        let d = between + 1;
+                        depth.push(d);
+                        depth_sorted.push(d);
+                        // The block's latest occurrence moves to j.
+                        flags.add(pu, 1u64.wrapping_neg());
+                    }
                 }
+                flags.add(ju, 1);
+                j += 1;
             }
-        }
+        });
         leaf_before.push(leaves);
         depth_sorted.sort_unstable();
         TraceSummary {

@@ -7,7 +7,7 @@
 //! Base cases additionally mark progress with [`Tracer::leaf`], giving the
 //! replayer the same progress signal the abstract model uses.
 
-use crate::block_map::{BlockSet, BuildBlockHasher};
+use crate::block_map::DistinctBlocks;
 use cadapt_core::{Blocks, Leaves};
 
 /// A consumer of instrumented memory accesses and leaf marks.
@@ -75,7 +75,7 @@ impl BlockTrace {
 pub struct Tracer {
     block_words: u64,
     events: Vec<TraceEvent>,
-    seen: BlockSet,
+    seen: DistinctBlocks,
     accesses: u64,
     leaves: Leaves,
 }
@@ -92,37 +92,7 @@ impl Tracer {
         Tracer {
             block_words,
             events: Vec::new(),
-            seen: BlockSet::default(),
-            accesses: 0,
-            leaves: 0,
-        }
-    }
-
-    /// A tracer with its event buffer and distinct-block set preallocated
-    /// from known counts — e.g. the running counts a compiled
-    /// [`crate::bytecode::TraceProgram`] carries for the same workload.
-    /// Recording then never reallocates mid-trace. Capacities are hints:
-    /// the recorded trace is bit-identical to one from [`Tracer::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_words == 0`.
-    #[must_use]
-    pub fn with_capacity(
-        block_words: u64,
-        accesses: u64,
-        leaves: Leaves,
-        distinct_blocks: Blocks,
-    ) -> Self {
-        assert!(block_words >= 1, "blocks must hold at least one word");
-        let events = u128::from(accesses) + leaves;
-        Tracer {
-            block_words,
-            events: Vec::with_capacity(usize::try_from(events).unwrap_or(0)),
-            seen: BlockSet::with_capacity_and_hasher(
-                usize::try_from(distinct_blocks).unwrap_or(0),
-                BuildBlockHasher::default(),
-            ),
+            seen: DistinctBlocks::default(),
             accesses: 0,
             leaves: 0,
         }
@@ -153,7 +123,7 @@ impl Tracer {
     pub fn into_trace(self) -> BlockTrace {
         BlockTrace {
             events: self.events,
-            distinct_blocks: self.seen.len() as Blocks,
+            distinct_blocks: self.seen.len(),
             accesses: self.accesses,
             leaves: self.leaves,
         }
@@ -341,22 +311,6 @@ mod tests {
         assert_eq!(buf.read(1, &mut tracer), 2.5);
         assert_eq!(buf.untraced()[1], 2.5);
         assert_eq!(tracer.into_trace().accesses(), 2);
-    }
-
-    #[test]
-    fn preallocated_tracer_records_identically() {
-        let record = |mut t: Tracer| {
-            for addr in [0u64, 7, 3, 3, 19] {
-                t.touch(addr);
-            }
-            t.leaf();
-            t.touch(2);
-            t.into_trace()
-        };
-        let plain = record(Tracer::new(4));
-        let sized = record(Tracer::with_capacity(4, 6, 1, 3));
-        assert_eq!(plain, sized);
-        assert_eq!(plain.accesses(), 6);
     }
 
     #[test]

@@ -16,12 +16,14 @@
 //!    `Vec<TraceEvent>` ever built) produces byte-identical programs to
 //!    recompiling the recorded trace, because encoding is a pure function
 //!    of the event stream.
-//! 3. **Pinned** — the corpus programs' CRC-32s and byte lengths are
-//!    constants below. The bytecode format is a serialisation format:
-//!    changing an opcode, a varint width, or the loop-detection window
-//!    changes these bytes, and that must be a deliberate, reviewed act.
-//!    If an *intentional* format change lands, re-pin from the values in
-//!    the failure message.
+//! 3. **Pinned** — the corpus programs' CRC-32s and byte lengths at
+//!    sides 16 and 32 are constants below. The bytecode format is a
+//!    serialisation format: changing an opcode, a varint width, or the
+//!    loop-detection window changes these bytes, and that must be a
+//!    deliberate, reviewed act. If an *intentional* format change lands,
+//!    re-pin from the values in the failure message. On generated
+//!    streams, `encoder_matches_the_reference_encoder` in
+//!    `props_bytecode.rs` holds the encoder to a fixed reference copy.
 
 use cadapt::core::checksum::crc32;
 use cadapt::core::{MemoryProfile, SquareProfile};
@@ -36,11 +38,14 @@ const BLOCK_WORDS: u64 = 4;
 /// long enough to exercise the encoder's spill window.
 const CHECKED_SIDES: [usize; 2] = [SIDE, 32];
 
-/// `(algorithm, CRC-32, byte length, accesses, event count)` of every
-/// corpus program at side 16, block size 4 words. These pin the bytecode
-/// *format*: any change to opcodes, delta encoding, varint layout, or the
-/// encoder's loop-detection heuristics shows up here first.
-const PINNED_PROGRAMS: &[(TraceAlgo, u32, usize, u64, u128)] = &[
+/// `(algorithm, CRC-32, byte length, accesses, event count)` of a corpus
+/// program at block size 4 words.
+type Pin = (TraceAlgo, u32, usize, u64, u128);
+
+/// Every corpus program at side 16. These pin the bytecode *format*: any
+/// change to opcodes, delta encoding, varint layout, or the encoder's
+/// loop-detection heuristics shows up here first.
+const PINNED_PROGRAMS: &[Pin] = &[
     (TraceAlgo::MmScan, 0xDCB6_D515, 72157, 31488, 35584),
     (TraceAlgo::MmInplace, 0xB8A7_3A5C, 9980, 16384, 20480),
     (TraceAlgo::Strassen, 0x08AC_2168, 77894, 40093, 42494),
@@ -48,28 +53,41 @@ const PINNED_PROGRAMS: &[(TraceAlgo, u32, usize, u64, u128)] = &[
     (TraceAlgo::VebSearch, 0x3620_233E, 4752, 2164, 2420),
 ];
 
+/// Every corpus program at side 32, the other side the lossless and
+/// canonical contracts are checked at.
+const PINNED_PROGRAMS_SIDE_32: &[Pin] = &[
+    (TraceAlgo::MmScan, 0x727B_01F1, 660316, 257024, 289792),
+    (TraceAlgo::MmInplace, 0xEB8E_58E0, 85855, 131072, 163840),
+    (TraceAlgo::Strassen, 0x9200_B1EF, 574736, 292427, 309234),
+    (TraceAlgo::EditDistance, 0xDE48_2983, 31908, 15104, 16128),
+    (TraceAlgo::VebSearch, 0xB354_D51F, 23787, 10753, 11777),
+];
+
 #[test]
 fn corpus_bytecode_is_pinned() {
-    for &(algo, pinned_crc, pinned_len, pinned_accesses, pinned_events) in PINNED_PROGRAMS {
-        let program = compiled(algo, SIDE, BLOCK_WORDS);
-        assert_eq!(
-            (
+    for (side, pins) in [(SIDE, PINNED_PROGRAMS), (32, PINNED_PROGRAMS_SIDE_32)] {
+        for &(algo, pinned_crc, pinned_len, pinned_accesses, pinned_events) in pins {
+            let program = compiled(algo, side, BLOCK_WORDS);
+            assert_eq!(
+                (
+                    program.crc32(),
+                    program.byte_len(),
+                    program.accesses(),
+                    program.event_count()
+                ),
+                (pinned_crc, pinned_len, pinned_accesses, pinned_events),
+                "{} at side {side}: compiled bytecode changed — the format is \
+                 pinned; re-pin as ({:#010X}, {}, {}, {}) only for a \
+                 deliberate format change",
+                algo.label(),
                 program.crc32(),
                 program.byte_len(),
                 program.accesses(),
                 program.event_count()
-            ),
-            (pinned_crc, pinned_len, pinned_accesses, pinned_events),
-            "{}: compiled bytecode changed — the format is pinned; re-pin as \
-             ({:#010X}, {}, {}, {}) only for a deliberate format change",
-            algo.label(),
-            program.crc32(),
-            program.byte_len(),
-            program.accesses(),
-            program.event_count()
-        );
-        // The CRC the store embeds is over exactly the program bytes.
-        assert_eq!(program.crc32(), crc32(program.bytes()));
+            );
+            // The CRC the store embeds is over exactly the program bytes.
+            assert_eq!(program.crc32(), crc32(program.bytes()));
+        }
     }
 }
 
