@@ -48,16 +48,22 @@ impl MemoryProfile {
     /// Build from explicit run-length segments.
     ///
     /// Zero-length segments are dropped; adjacent equal-size runs are merged.
+    /// The segments are compacted in place, so the input's allocation
+    /// becomes the profile's and a long profile is never held twice.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::EmptyBox`] (reusing the zero-size error) if any
     /// non-empty segment has size zero: the CA model requires at least one
-    /// block of cache at all times.
-    pub fn from_segments(segments: Vec<Segment>) -> Result<Self, CoreError> {
-        let mut out: Vec<Segment> = Vec::with_capacity(segments.len());
+    /// block of cache at all times. `at` is the segment's index in the
+    /// input.
+    pub fn from_segments(mut segments: Vec<Segment>) -> Result<Self, CoreError> {
         let mut total: Io = 0;
-        for (i, seg) in segments.into_iter().enumerate() {
+        // `segments[..kept]` is the compacted profile so far; `kept <= i`,
+        // so compaction only overwrites segments already read.
+        let mut kept = 0usize;
+        for i in 0..segments.len() {
+            let seg = segments[i];
             if seg.len == 0 {
                 continue;
             }
@@ -65,15 +71,16 @@ impl MemoryProfile {
                 return Err(CoreError::EmptyBox { at: i });
             }
             total += seg.len;
-            match out.last_mut() {
+            match kept.checked_sub(1).and_then(|last| segments.get_mut(last)) {
                 Some(last) if last.size == seg.size => last.len += seg.len,
-                _ => out.push(seg),
+                _ => {
+                    segments[kept] = seg;
+                    kept += 1;
+                }
             }
         }
-        Ok(MemoryProfile {
-            segments: out,
-            total,
-        })
+        segments.truncate(kept);
+        Ok(MemoryProfile { segments, total })
     }
 
     /// Build from one size per I/O step.
@@ -411,8 +418,74 @@ mod tests {
             })
         }
 
+        /// `from_segments` as first written: it copies the kept runs into
+        /// a second vector. The in-place version must match it exactly.
+        fn copying_from_segments(segments: Vec<Segment>) -> Result<MemoryProfile, CoreError> {
+            let mut out: Vec<Segment> = Vec::with_capacity(segments.len());
+            let mut total: Io = 0;
+            for (i, seg) in segments.into_iter().enumerate() {
+                if seg.len == 0 {
+                    continue;
+                }
+                if seg.size == 0 {
+                    return Err(CoreError::EmptyBox { at: i });
+                }
+                total += seg.len;
+                match out.last_mut() {
+                    Some(last) if last.size == seg.size => last.len += seg.len,
+                    _ => out.push(seg),
+                }
+            }
+            Ok(MemoryProfile {
+                segments: out,
+                total,
+            })
+        }
+
+        /// Raw runs over a tiny size and length range, so zero sizes,
+        /// zero lengths and equal neighbours crowd together: a zero size
+        /// often follows dropped or merged runs, where the reported index
+        /// must still be the input's.
+        fn crowded_segments() -> impl Strategy<Value = Vec<Segment>> {
+            proptest::collection::vec((0u64..4, 0u64..4), 0..16).prop_map(|runs| {
+                runs.into_iter()
+                    .map(|(size, len)| Segment {
+                        size,
+                        len: Io::from(len),
+                    })
+                    .collect()
+            })
+        }
+
+        #[test]
+        fn zero_size_after_merged_and_dropped_runs_reports_its_input_index() {
+            let raw = vec![
+                Segment { size: 2, len: 1 },
+                Segment { size: 2, len: 3 },
+                Segment { size: 0, len: 0 },
+                Segment { size: 5, len: 0 },
+                Segment { size: 0, len: 4 },
+            ];
+            assert_eq!(
+                copying_from_segments(raw.clone()),
+                Err(CoreError::EmptyBox { at: 4 })
+            );
+            assert_eq!(
+                MemoryProfile::from_segments(raw),
+                Err(CoreError::EmptyBox { at: 4 })
+            );
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// In-place compaction equals the copying reference: the same
+            /// segments and total, or the same error at the same index.
+            #[test]
+            fn in_place_compaction_matches_the_copying_reference(raw in crowded_segments()) {
+                let want = copying_from_segments(raw.clone());
+                prop_assert_eq!(MemoryProfile::from_segments(raw), want);
+            }
 
             /// The cursor agrees with the reference scan at every
             /// timestamp through one past the end, and stays `None` after.

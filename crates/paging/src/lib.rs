@@ -20,12 +20,16 @@
 //!   through a forward [`ProfileCursor`](cadapt_core::ProfileCursor), so
 //!   the replay is one O(A) pass however many segments the profile has.
 //!
-//! The LRU structure itself is [`lru::LruCache`], a slab-backed O(1)
-//! doubly-linked implementation whose block-id index is a
-//! [`BlockMap`](cadapt_trace::BlockMap) (a std `HashMap` with a fixed
-//! multiplicative hasher; the index is only point-probed). Square-profile
-//! replay reuses one cache for every box, cleared and resized at each box
-//! boundary. [`opt::replay_opt`] provides Belady's
+//! The LRU structure itself is [`lru::LruCache`], an O(1) doubly-linked
+//! recency list threaded through a node table indexed by block id: a
+//! [`PageDirectory`](cadapt_trace::block_map::PageDirectory) gives each id
+//! a dense slot, and a block is resident exactly when its node is linked,
+//! so a probe is a page compare and an index, not a hash lookup. The
+//! table covers every id on a page the cache has inserted from, so its
+//! memory is O(ids on touched pages), 8 bytes per id, whatever the
+//! capacity. Square-profile replay reuses one cache for every box,
+//! cleared and resized at each box boundary; `clear` unlinks only the
+//! resident nodes, O(resident). [`opt::replay_opt`] provides Belady's
 //! offline-optimal replacement as the baseline the ideal-cache model
 //! assumes, with the Sleator–Tarjan LRU-vs-OPT inequality checked in its
 //! tests.

@@ -1,29 +1,59 @@
-//! Slab-backed O(1) LRU cache over block ids.
+//! O(1) LRU cache over block ids, its recency list threaded through a
+//! table indexed by block id.
 //!
-//! A block-id index ([`BlockMap`]`<slot>`: a std `HashMap` with the fixed
-//! multiplicative hasher of [`cadapt_trace::block_map`], one multiply per
-//! probe instead of SipHash) into a vector of doubly-linked nodes; every
-//! operation (lookup, touch, insert, evict) is O(1). The index is only
-//! ever point-probed, so its order cannot reach a result. Capacity can be
-//! changed on the fly (shrinking evicts from the cold end), which is what
-//! the cache-adaptive replay needs whenever m(t) changes, and one cache
-//! can be reused across boxes with [`LruCache::clear`] +
-//! [`LruCache::resize`], keeping its allocations.
+//! A [`PageDirectory`] (from [`cadapt_trace::block_map`]) gives every
+//! block id a dense slot, `page_index · 512 + id % 512`, and the node
+//! table holds one `prev`/`next` pair per slot. A block is resident
+//! exactly when its node is linked into the recency list, so there is no
+//! separate index: a probe is a page compare and a table index (a hash
+//! probe on the page number only when the page changes), and an evicted
+//! block's id is recovered from its slot's page number. Every operation
+//! (lookup, touch, insert, evict) is O(1), and a hit on the list head
+//! relinks nothing.
+//!
+//! **Memory.** The table covers every id on a page the cache has been
+//! asked to insert, resident or not: O(ids on touched pages), 8 bytes per
+//! id (two `u32` links), independent of the capacity. On the corpus
+//! programs, whose ids are bump-allocated from 0, that is 8 bytes per
+//! distinct block. A new cache allocates nothing, whatever its capacity.
+//! The links cap the table at 2³² − 512 slots (8,388,607 touched pages, a
+//! 32 GiB table); an insert past that panics rather than wrap a link.
+//!
+//! Capacity can be changed on the fly (shrinking evicts from the cold
+//! end), which is what the cache-adaptive replay needs whenever m(t)
+//! changes, and one cache can be reused across boxes with
+//! [`LruCache::clear`] + [`LruCache::resize`]. `clear` unlinks the
+//! resident nodes only, O(resident), and keeps the directory and table.
 
-use cadapt_trace::block_map::{BlockMap, BuildBlockHasher};
+use cadapt_core::cast;
+use cadapt_trace::block_map::PageDirectory;
 
-const NIL: usize = usize::MAX;
+/// "No neighbour": the `prev` of the head and the `next` of the tail.
+const NIL: u32 = u32::MAX;
 
-/// Upper bound on eagerly preallocated slots. Replay caches are resized to
-/// every box of a profile, and nominal capacities can be enormous while
-/// only a few blocks are ever touched — larger caches grow on demand.
-const PREALLOC_CAP: usize = 1 << 16;
+/// The `prev` of a node that is not in the recency list.
+const UNLINKED: u32 = u32::MAX - 1;
 
+/// One slot of the node table: the block's neighbours in the recency list,
+/// as slots. Every slot is below `2³² − 512`, clear of both sentinels.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    block: u64,
-    prev: usize,
-    next: usize,
+    /// More recently used neighbour, [`NIL`] at the head, [`UNLINKED`]
+    /// when the block is not resident.
+    prev: u32,
+    /// Less recently used neighbour, [`NIL`] at the tail.
+    next: u32,
+}
+
+impl Node {
+    const FREE: Node = Node {
+        prev: UNLINKED,
+        next: NIL,
+    };
+
+    fn linked(self) -> bool {
+        self.prev != UNLINKED
+    }
 }
 
 /// An LRU set of block ids with O(1) access/insert/evict and dynamic
@@ -31,25 +61,27 @@ struct Node {
 #[derive(Debug)]
 pub struct LruCache {
     capacity: usize,
-    index: BlockMap<usize>,
+    /// Resident blocks: the length of the recency list.
+    len: usize,
+    dir: PageDirectory,
+    /// One node per directory slot.
     nodes: Vec<Node>,
-    free: Vec<usize>,
     /// Most recently used.
-    head: usize,
+    head: u32,
     /// Least recently used.
-    tail: usize,
+    tail: u32,
 }
 
 impl LruCache {
-    /// An empty cache with the given capacity (may be 0).
+    /// An empty cache with the given capacity (may be 0). Allocates
+    /// nothing until the first insert.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        let prealloc = capacity.min(PREALLOC_CAP);
         LruCache {
             capacity,
-            index: BlockMap::with_capacity_and_hasher(prealloc, BuildBlockHasher::default()),
-            nodes: Vec::with_capacity(prealloc),
-            free: Vec::new(),
+            len: 0,
+            dir: PageDirectory::default(),
+            nodes: Vec::new(),
             head: NIL,
             tail: NIL,
         }
@@ -58,13 +90,13 @@ impl LruCache {
     /// Number of blocks currently resident.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// Is the cache empty?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 
     /// Current capacity.
@@ -76,110 +108,121 @@ impl LruCache {
     /// Is `block` resident?
     #[must_use]
     pub fn contains(&self, block: u64) -> bool {
-        self.index.contains_key(&block)
+        self.dir
+            .find(block)
+            .and_then(|slot| self.nodes.get(slot))
+            .is_some_and(|node| node.linked())
     }
 
-    fn detach(&mut self, slot: usize) {
-        let Node { prev, next, .. } = self.nodes[slot];
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else {
+    /// The node of `slot`. Every slot the directory hands out has one:
+    /// the table grows with the directory in [`access`](Self::access).
+    fn node(&mut self, slot: u32) -> &mut Node {
+        let i = cast::usize_from_u32(slot);
+        &mut self.nodes[i]
+    }
+
+    /// Unlink `slot`'s node from the recency list.
+    fn detach(&mut self, slot: u32) {
+        let Node { prev, next } = *self.node(slot);
+        *self.node(slot) = Node::FREE;
+        if prev == NIL {
             self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next].prev = prev;
         } else {
+            self.node(prev).next = next;
+        }
+        if next == NIL {
             self.tail = prev;
+        } else {
+            self.node(next).prev = prev;
         }
     }
 
-    fn attach_front(&mut self, slot: usize) {
-        self.nodes[slot].prev = NIL;
-        self.nodes[slot].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = slot;
+    /// Link `slot`'s (unlinked) node in as the most recently used.
+    fn attach_front(&mut self, slot: u32) {
+        let head = self.head;
+        *self.node(slot) = Node {
+            prev: NIL,
+            next: head,
+        };
+        if head == NIL {
+            self.tail = slot;
+        } else {
+            self.node(head).prev = slot;
         }
         self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
     }
 
     /// Evict the least recently used block, returning it.
     pub fn evict_lru(&mut self) -> Option<u64> {
-        if self.tail == NIL {
+        let slot = self.tail;
+        if slot == NIL {
             return None;
         }
-        let slot = self.tail;
-        let block = self.nodes[slot].block;
         self.detach(slot);
-        self.index.remove(&block);
-        self.free.push(slot);
+        self.len -= 1;
         cadapt_core::counters::count_cache_evictions(1);
-        Some(block)
+        self.dir.id_of(cast::usize_from_u32(slot))
     }
 
     /// Access `block`: returns `true` on a hit (block moved to the front),
     /// `false` on a miss (block inserted, evicting LRU blocks as needed).
     /// With capacity 0 every access misses and nothing is retained.
     pub fn access(&mut self, block: u64) -> bool {
-        if let Some(&slot) = self.index.get(&block) {
-            self.detach(slot);
-            self.attach_front(slot);
+        if self.capacity == 0 {
+            // Nothing can be resident (resize(0) evicts everything).
+            return false;
+        }
+        let slot = self.dir.slot(block);
+        if slot >= self.nodes.len() {
+            // The table size is a multiple of 512, so if it fits a `u32`
+            // every slot in it is below `2³² − 512`, clear of the sentinels.
+            let slots = self.dir.slots();
+            assert!(
+                u32::try_from(slots).is_ok(),
+                "LruCache node table past 2^32 - 512 slots"
+            );
+            self.nodes.resize(slots, Node::FREE);
+        }
+        let slot = cast::u32_from_usize(slot);
+        if self.node(slot).linked() {
+            // A hit on the head relinks nothing.
+            if slot != self.head {
+                self.detach(slot);
+                self.attach_front(slot);
+            }
             cadapt_core::counters::count_cache_hit();
             return true;
         }
-        if self.capacity == 0 {
-            return false;
-        }
-        while self.index.len() >= self.capacity {
+        while self.len >= self.capacity {
             self.evict_lru();
         }
-        let slot = if let Some(slot) = self.free.pop() {
-            self.nodes[slot] = Node {
-                block,
-                prev: NIL,
-                next: NIL,
-            };
-            slot
-        } else {
-            self.nodes.push(Node {
-                block,
-                prev: NIL,
-                next: NIL,
-            });
-            self.nodes.len() - 1
-        };
-        self.index.insert(block, slot);
         self.attach_front(slot);
+        self.len += 1;
         false
     }
 
-    /// Change capacity; shrinking evicts cold blocks immediately, growing
-    /// reserves slots up front so the fill that follows never reallocates
-    /// mid-replay.
+    /// Change capacity; shrinking evicts cold blocks immediately.
     pub fn resize(&mut self, capacity: usize) {
         self.capacity = capacity;
-        while self.index.len() > self.capacity {
+        while self.len > self.capacity {
             self.evict_lru();
-        }
-        let prealloc = capacity.min(PREALLOC_CAP);
-        self.index
-            .reserve(prealloc.saturating_sub(self.index.len()));
-        if self.nodes.capacity() < prealloc {
-            self.nodes.reserve(prealloc - self.nodes.len());
         }
     }
 
     /// Drop everything (the "cache cleared at box start" convention).
-    /// Nothing is counted as evicted, and the index and slab keep their
-    /// allocations, so `clear()` + [`resize`](Self::resize)`(n)` turns a
-    /// used cache into the equivalent of `LruCache::new(n)` without
+    /// Nothing is counted as evicted. Only the resident nodes are
+    /// unlinked, so this is O(resident), and the directory and table keep
+    /// their allocations: `clear()` + [`resize`](Self::resize)`(n)` turns
+    /// a used cache into the equivalent of `LruCache::new(n)` without
     /// allocating.
     pub fn clear(&mut self) {
-        self.index.clear();
-        self.nodes.clear();
-        self.free.clear();
+        let mut slot = self.head;
+        while slot != NIL {
+            let next = self.node(slot).next;
+            *self.node(slot) = Node::FREE;
+            slot = next;
+        }
+        self.len = 0;
         self.head = NIL;
         self.tail = NIL;
     }
@@ -299,26 +342,41 @@ mod tests {
         assert_eq!(c.evict_lru(), None);
     }
 
+    /// An evicted block keeps its slot, and the slot is reused when the
+    /// block comes back: the table covers the pages of the ids inserted,
+    /// not the capacity, so a capacity-2 cache that has seen ids 0..100,
+    /// twice over, holds one 512-id page.
     #[test]
     fn slot_reuse_after_eviction() {
         let mut c = LruCache::new(2);
         for b in 0..100u64 {
             c.access(b);
         }
-        // Only ever 2 resident; the slab should not have grown to 100.
-        assert!(c.nodes.len() <= 3, "slab grew to {}", c.nodes.len());
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.dir.pages(), 1);
+        assert_eq!(c.nodes.len(), 512);
+        for b in 0..100u64 {
+            assert!(!c.access(b), "block {b} was evicted");
+        }
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.dir.pages(), 1);
+        assert_eq!(c.nodes.len(), 512);
     }
 
+    /// Construction and resize preallocate nothing, whatever the
+    /// capacity: the table grows with the pages touched, on the first
+    /// access to each.
     #[test]
     fn construction_and_resize_preallocate() {
-        let c = LruCache::new(100);
-        assert!(c.nodes.capacity() >= 100);
-        let mut c = LruCache::new(1);
+        let mut c = LruCache::new(100);
+        assert_eq!(c.dir.pages(), 0);
+        assert_eq!(c.nodes.capacity(), 0);
         c.resize(200);
-        assert!(c.nodes.capacity() >= 200);
-        // Huge nominal capacities are capped, not allocated eagerly.
+        assert_eq!(c.dir.pages(), 0);
+        assert_eq!(c.nodes.capacity(), 0);
         let c = LruCache::new(usize::MAX);
-        assert!(c.nodes.capacity() < (1 << 20));
+        assert_eq!(c.dir.pages(), 0);
+        assert_eq!(c.nodes.capacity(), 0);
     }
 
     #[test]

@@ -152,7 +152,8 @@ fn replay_cursor_into<T: TraceStream + ?Sized, C: RunCursor>(
     let mut pending: Option<BoxRun> = None;
     // One cache for the whole replay, cleared and resized at every box
     // boundary: the same hits and misses as a fresh cache per box, without
-    // a fresh index and slab per box.
+    // a fresh node table per box, and a clear costs only the box's
+    // resident blocks.
     let mut cache = LruCache::new(0);
     while events.peek().is_some() {
         let run = match pending.take() {

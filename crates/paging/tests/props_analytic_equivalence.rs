@@ -41,8 +41,28 @@ fn assemble(ops: &[(u64, bool)]) -> SummarizedTrace {
     SummarizedTrace::new(tracer.into_trace())
 }
 
+/// Twelve block ids: 0..12 on one page, or, in some cases, the same
+/// twelve spread over the 511/512 page edge and the top page, so the
+/// simulator's page directory turns pages mid-trace.
 fn ops_strategy() -> impl Strategy<Value = Vec<(u64, bool)>> {
-    proptest::collection::vec((0u64..12, proptest::bool::ANY), 0..200)
+    let across_pages = |b: u64| match b {
+        0..=3 => b,
+        4..=7 => 506 + b,
+        _ => u64::MAX - 11 + b,
+    };
+    (
+        proptest::bool::ANY,
+        proptest::collection::vec((0u64..12, proptest::bool::ANY), 0..200),
+    )
+        .prop_map(move |(spread, ops)| {
+            if spread {
+                ops.into_iter()
+                    .map(|(b, leaf)| (across_pages(b), leaf))
+                    .collect()
+            } else {
+                ops
+            }
+        })
 }
 
 /// Raw runs for `MemoryProfile::from_segments`: sizes on both sides of the

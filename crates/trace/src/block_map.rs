@@ -1,19 +1,26 @@
-//! Hash maps keyed by block id, with a fast fixed hasher, and a
-//! distinct-block counter built on them.
+//! Block-id keyed state: a hash map with a fast fixed hasher, and a page
+//! directory that turns block ids into dense slots.
 //!
-//! Every per-access block lookup in the trace and paging layers — the LRU
-//! index, the reuse-distance builder's last-position map, Belady's
-//! next-use tables — probes a map keyed by a `u64` block id. std's default
-//! SipHash is built to resist adversarial keys and costs several times the
-//! probe itself. Block ids here are never adversarial: the program's own
-//! kernels generate every one of them from their address arithmetic, and
-//! no block id comes from outside the program. So [`BlockMap`] is a plain
-//! std [`HashMap`] with [`BlockHasher`], one multiply per key.
+//! The per-access state of the trace and paging layers — the LRU's
+//! recency list, the reuse-distance builder's last positions, the
+//! recorder's distinct-block count — is keyed by a `u64` block id. It does
+//! not live in a hash map keyed by id. [`PageDirectory`] groups ids into
+//! pages of 512 consecutive ids and hands each page the next dense page
+//! index, so id `id` owns slot `page_index · 512 + id % 512` and its state
+//! is a plain vector entry. Finding a page is one [`BlockMap`] probe on the
+//! page number, and the last page is cached, so a run of ids on one page
+//! costs a shift, a compare and a mask per id. [`crate::AddressSpace`]
+//! bump-allocates ids from 0, so on every corpus program the slots are
+//! exactly the ids and the tables are exactly as long as the id range. The
+//! crate-private `DistinctBlocks` keeps one flag bit per slot.
 //!
-//! The recorder and the compiler only need to know *how many* distinct
-//! blocks a trace touches. The crate-private `DistinctBlocks` counts them
-//! in bitmap pages of 512 ids, so most accesses cost a shift and a mask
-//! instead of a probe.
+//! [`BlockMap`] is a plain std [`HashMap`] with [`BlockHasher`], one
+//! multiply per key. std's default SipHash is built to resist adversarial
+//! keys and costs several times the probe itself. Block ids here are never
+//! adversarial: the program's own kernels generate every one of them from
+//! their address arithmetic, and no block id comes from outside the
+//! program. Its users are the page directory (keyed by page number) and
+//! Belady's next-use tables in `cadapt-paging`.
 //!
 //! **Bucket spread.** hashbrown picks a bucket from the *low* bits of the
 //! hash, but a multiply mixes upward: the low bits of `id · K` depend only
@@ -81,55 +88,140 @@ pub type BuildBlockHasher = BuildHasherDefault<BlockHasher>;
 // cadapt-lint: allow(nondet-source) -- the block-id map itself; see the module docs for why no result depends on its order
 pub type BlockMap<V> = HashMap<u64, V, BuildBlockHasher>;
 
-/// Ids per [`DistinctBlocks`] page: 512 bits, one 64-byte cache line.
-const PAGE_IDS: u64 = 512;
+/// Ids per page of a [`PageDirectory`]: 512, so a page of one-bit flags
+/// is one 64-byte cache line.
+const PAGE_IDS: usize = 512;
 
-/// One page of [`DistinctBlocks`]: bit `i` of word `w` is id
-/// `page · 512 + 64w + i`.
-type Page = [u64; 8];
+/// `PAGE_IDS` as a `u64`, for arithmetic on block ids.
+const PAGE_IDS_U64: u64 = 512;
+
+/// A page number the directory never holds: the largest page number is
+/// `u64::MAX / 512`.
+const NO_PAGE: u64 = u64::MAX;
+
+/// Maps block ids to dense slots, so per-id state can live in a plain
+/// vector instead of a hash map.
+///
+/// Ids are grouped in pages of 512 consecutive ids. The first
+/// time an id of a page is seen the page gets the next page index, and
+/// id `id` then owns slot `page_index · 512 + id % 512`. Slots are dense
+/// from 0, so a table indexed by slot is O(pages touched · 512) long for
+/// any id pattern, and exactly as long as the id range when ids are
+/// bump-allocated from 0, as [`crate::AddressSpace`] allocates them.
+///
+/// The page index is found by a [`BlockMap`] on the page number, and the
+/// last page found is cached, so a run of ids on one page costs a shift, a
+/// compare and a mask per id. Page indexes are handed out in order and
+/// never taken back, so a slot, once given, belongs to its id for the
+/// directory's lifetime, and [`id_of`](Self::id_of) recovers the id.
+#[derive(Debug, Clone)]
+pub struct PageDirectory {
+    /// Page number → page index.
+    index: BlockMap<usize>,
+    /// Page index → page number.
+    numbers: Vec<u64>,
+    /// The last page found: its number, or [`NO_PAGE`] before any.
+    last_page: u64,
+    /// `page_index · 512` of the last page found.
+    last_base: usize,
+}
+
+impl Default for PageDirectory {
+    fn default() -> Self {
+        PageDirectory {
+            index: BlockMap::default(),
+            numbers: Vec::new(),
+            last_page: NO_PAGE,
+            last_base: 0,
+        }
+    }
+}
+
+impl PageDirectory {
+    /// The slot of `id`, giving its page the next page index if the page
+    /// is new. A new page extends the slot range to
+    /// [`slots`](Self::slots); callers grow their tables to match.
+    #[inline]
+    pub fn slot(&mut self, id: u64) -> usize {
+        let page = id / PAGE_IDS_U64;
+        if page != self.last_page {
+            self.turn_to(page);
+        }
+        self.last_base + cast::usize_from_u64(id % PAGE_IDS_U64)
+    }
+
+    /// Find or add `page`, and make it the cached last page.
+    fn turn_to(&mut self, page: u64) {
+        let fresh = self.numbers.len();
+        let index = *self.index.entry(page).or_insert(fresh);
+        if index == fresh {
+            self.numbers.push(page);
+        }
+        self.last_page = page;
+        self.last_base = index * PAGE_IDS;
+    }
+
+    /// The slot of `id` if its page is in the directory; never adds one.
+    #[must_use]
+    pub fn find(&self, id: u64) -> Option<usize> {
+        let page = id / PAGE_IDS_U64;
+        let base = if page == self.last_page {
+            self.last_base
+        } else {
+            *self.index.get(&page)? * PAGE_IDS
+        };
+        Some(base + cast::usize_from_u64(id % PAGE_IDS_U64))
+    }
+
+    /// The id that owns `slot`, or `None` past [`slots`](Self::slots).
+    #[must_use]
+    pub fn id_of(&self, slot: usize) -> Option<u64> {
+        let number = self.numbers.get(slot / PAGE_IDS)?;
+        Some(number * PAGE_IDS_U64 + cast::u64_from_usize(slot % PAGE_IDS))
+    }
+
+    /// Pages in the directory.
+    #[must_use]
+    pub fn pages(&self) -> usize {
+        self.numbers.len()
+    }
+
+    /// Slots handed out so far, `pages · 512`: every slot returned by
+    /// [`slot`](Self::slot) or [`find`](Self::find) is below it.
+    #[must_use]
+    pub fn slots(&self) -> usize {
+        self.numbers.len() * PAGE_IDS
+    }
+}
 
 /// Counts distinct block ids.
 ///
-/// Ids are kept as a bitmap in pages of 512 consecutive ids, allocated
-/// only for pages that hold a seen id, so memory is O(distinct ids) for
-/// any id pattern: at most one page per id, and far fewer when ids
-/// cluster, as the kernels' blocked layouts make them. A [`BlockMap`]
-/// finds a page by page number, and the last page found is cached, so a
-/// run of ids on one page costs a shift and a mask per id.
+/// One flag bit per slot of a [`PageDirectory`], so memory is one bit per
+/// id on a touched page plus the directory: at most one 64-byte page per
+/// distinct id, and far less when ids cluster, as the kernels' blocked
+/// layouts make them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DistinctBlocks {
-    pages: Vec<Page>,
-    /// Page number → index into `pages`.
-    index: BlockMap<usize>,
-    /// The last page probed: `(page number, index into pages)`.
-    last: Option<(u64, usize)>,
+    dir: PageDirectory,
+    /// Bit `s % 64` of word `s / 64` is set once the id of slot `s` is seen.
+    seen: Vec<u64>,
     count: u64,
 }
 
 impl DistinctBlocks {
     /// Record `id`; true if it had not been seen before.
     pub(crate) fn insert(&mut self, id: u64) -> bool {
-        let page = id / PAGE_IDS;
-        let slot = match self.last {
-            Some((last, slot)) if last == page => slot,
-            _ => {
-                let fresh = self.pages.len();
-                let slot = *self.index.entry(page).or_insert(fresh);
-                if slot == fresh {
-                    self.pages.push(Page::default());
-                }
-                self.last = Some((page, slot));
-                slot
-            }
+        let slot = self.dir.slot(id);
+        let at = slot / 64;
+        if at >= self.seen.len() {
+            self.seen.resize(self.dir.slots() / 64, 0);
+        }
+        // The table was just grown to cover every slot, so this always
+        // finds the word.
+        let Some(word) = self.seen.get_mut(at) else {
+            return false;
         };
-        // Every index entry names a page pushed above, and the word index
-        // is below 8 by the modulus, so both lookups always succeed.
-        let word = self
-            .pages
-            .get_mut(slot)
-            .and_then(|p| p.get_mut(cast::usize_from_u64(id / 64 % 8)));
-        let Some(word) = word else { return false };
-        let bit = 1u64 << (id % 64);
+        let bit = 1u64 << (slot % 64);
         let fresh = *word & bit == 0;
         *word |= bit;
         self.count += u64::from(fresh);
@@ -172,6 +264,38 @@ mod tests {
         assert!(buckets.len() > 512, "only {} buckets used", buckets.len());
     }
 
+    #[test]
+    fn directory_slots_are_dense_and_give_back_their_ids() {
+        let mut dir = PageDirectory::default();
+        assert_eq!((dir.pages(), dir.slots()), (0, 0));
+        assert_eq!(dir.find(0), None);
+        // Pages get indexes in first-seen order: 1 → page 0, 512 → page 1,
+        // u64::MAX → page 2, 511 back on page 0.
+        let ids = [1u64, 512, u64::MAX, 511, u64::MAX - 511, 1023, 1024];
+        let slots: Vec<usize> = ids.iter().map(|&id| dir.slot(id)).collect();
+        assert_eq!(slots, [1, 512, 1535, 511, 1024, 1023, 1536]);
+        assert_eq!((dir.pages(), dir.slots()), (4, 2048));
+        for (&id, &slot) in ids.iter().zip(&slots) {
+            assert_eq!(dir.find(id), Some(slot), "id {id}");
+            assert_eq!(dir.id_of(slot), Some(id), "slot {slot}");
+        }
+        // `find` never adds a page; `id_of` stops at the last slot.
+        assert_eq!(dir.find(4096), None);
+        assert_eq!(dir.pages(), 4);
+        assert_eq!(dir.id_of(2047), Some(1024 + 511));
+        assert_eq!(dir.id_of(2048), None);
+        // Cycling over pages keeps every slot where it was first put.
+        let cycle: Vec<u64> = (0..7u64).map(|p| p * 512 + p).collect();
+        let first: Vec<usize> = cycle.iter().map(|&id| dir.slot(id)).collect();
+        for _ in 0..3 {
+            for (&id, &slot) in cycle.iter().zip(&first).rev() {
+                assert_eq!(dir.slot(id), slot, "id {id}");
+                assert_eq!(dir.find(id), Some(slot), "id {id}");
+            }
+        }
+        assert_eq!(dir.pages(), 8);
+    }
+
     /// Feed `ids` to a counter and to a std `HashSet`; they must agree on
     /// every insert and on the count, and the counter may hold no more
     /// pages than distinct ids.
@@ -183,9 +307,9 @@ mod tests {
         }
         assert_eq!(counter.len(), reference.len() as u64);
         assert!(
-            counter.pages.len() <= reference.len(),
+            counter.dir.pages() <= reference.len(),
             "{} pages for {} distinct ids",
-            counter.pages.len(),
+            counter.dir.pages(),
             reference.len()
         );
         counter
@@ -195,7 +319,7 @@ mod tests {
     fn distinct_count_matches_a_hash_set_on_dense_ids() {
         let counter = agrees_with_a_hash_set((0..5_000u64).chain(0..5_000).chain(1_000..1_700));
         assert_eq!(counter.len(), 5_000);
-        assert_eq!(counter.pages.len(), 10, "5000 dense ids fill 10 pages");
+        assert_eq!(counter.dir.pages(), 10, "5000 dense ids fill 10 pages");
     }
 
     #[test]
@@ -241,7 +365,7 @@ mod tests {
         assert_eq!(counter.len(), 7);
         // 0/511, 512/1023, 1024 and the top page (u64::MAX − 511 and
         // u64::MAX share it: 2^64 is a multiple of 512).
-        assert_eq!(counter.pages.len(), 4);
+        assert_eq!(counter.dir.pages(), 4);
         assert_eq!(agrees_with_a_hash_set([]).len(), 0);
     }
 }

@@ -10,7 +10,7 @@
 //!   to the same block, the block itself included) is at most C. The
 //!   fault count of *every* capacity is therefore a suffix sum of one
 //!   stack-distance histogram: [`TraceSummary::faults_fixed`] answers a
-//!   capacity query in O(log A) after the one-time build.
+//!   capacity query in O(1) from the histogram's cumulative form.
 //! * **Square-profile boxes** — a box of size x grants x blocks of cache
 //!   *cleared at the box start* and a budget of x I/Os. Inside such a box
 //!   inserts never exceed capacity, so nothing is ever evicted, and an
@@ -33,46 +33,110 @@
 //! Leaf marks (progress) attach to the preceding access:
 //! [`leaves_before`](TraceSummary::leaves_before) turns per-box progress
 //! counting into two prefix-sum lookups.
+//!
+//! **The build.** One pass over the stream. A [`PageDirectory`] gives
+//! each block id a dense slot, so each block's latest position is a vector
+//! entry, not a hash-map value. The stack distance of a re-access at j whose previous
+//! access was at p is one plus the blocks whose latest access lies in
+//! (p, j): with one flag bit per position marking the latest access of
+//! every block seen so far, that is `distinct_so_far − flags(0..=p)`, one
+//! prefix count on a Fenwick tree over the 64-bit flag words (A/4 bytes
+//! for A accesses). Depths are at most the distinct blocks seen, so the
+//! histogram is a vector indexed by depth, turned cumulative at the end.
 
-use crate::block_map::{BlockMap, BuildBlockHasher};
+use crate::block_map::PageDirectory;
 use crate::stream::TraceStream;
 use crate::tracer::TraceEvent;
 use cadapt_core::{cast, Blocks, Io, Leaves};
 
-/// Fenwick tree over access positions, used to count "latest occurrence"
-/// flags inside a position range while building stack distances.
+/// The positions of the latest occurrence of every block seen so far, as
+/// one flag bit per access, with a Fenwick tree over the 64-bit flag
+/// words for prefix counts.
+///
+/// Accesses are appended in order, and only the word holding the newest
+/// position (the *open* word) changes by more than a cleared bit, so the
+/// tree holds the closed words only: a word's count enters the tree once,
+/// when the next word opens, and clearing a flag in a closed word is one
+/// tree update. Two bits per access (the flag and, amortised, one word of
+/// tree per 64 accesses) instead of one 64-bit tree node per access.
 ///
 /// Counts are stored modulo 2⁶⁴ (the classic wrapping trick): every prefix
 /// sum of the true flag multiset is non-negative, so the wrapped value is
 /// the exact value.
 #[derive(Debug)]
-struct Fenwick {
+struct LatestFlags {
+    /// Bit `j % 64` of word `j / 64` is set iff access `j` is the latest
+    /// occurrence of its block.
+    words: Vec<u64>,
+    /// Fenwick tree over the closed words' popcounts; `tree[k]` (1-based)
+    /// covers words `k − lowbit(k) .. k`.
     tree: Vec<u64>,
+    /// Words below this index are closed and counted in `tree`.
+    closed: usize,
 }
 
-impl Fenwick {
-    fn new(len: usize) -> Self {
-        Fenwick {
-            tree: vec![0; len + 1],
+impl LatestFlags {
+    fn new(positions: usize) -> Self {
+        let words = positions.div_ceil(64);
+        LatestFlags {
+            words: vec![0; words],
+            tree: vec![0; words + 1],
+            closed: 0,
         }
     }
 
-    /// Add `delta` (possibly the wrapped −1) at 0-based position `i`.
-    fn add(&mut self, i: usize, delta: u64) {
-        let mut idx = i + 1;
-        while idx < self.tree.len() {
-            self.tree[idx] = self.tree[idx].wrapping_add(delta);
-            idx += idx & idx.wrapping_neg();
+    /// Add `delta` (possibly the wrapped −1) to closed word `w`'s count.
+    fn tree_add(&mut self, w: usize, delta: u64) {
+        let mut k = w + 1;
+        while let Some(node) = self.tree.get_mut(k) {
+            *node = node.wrapping_add(delta);
+            k += k & k.wrapping_neg();
         }
     }
 
-    /// Sum of positions `0..=i` (0-based, inclusive).
-    fn prefix(&self, i: usize) -> u64 {
-        let mut idx = i + 1;
-        let mut sum = 0u64;
-        while idx > 0 {
-            sum = sum.wrapping_add(self.tree[idx]);
-            idx -= idx & idx.wrapping_neg();
+    /// Flag position `j`, the newest so far: closes every word below
+    /// `j / 64` that is still open.
+    fn push(&mut self, j: usize) {
+        let w = j / 64;
+        while self.closed < w {
+            let closed = self.closed;
+            let count = self
+                .words
+                .get(closed)
+                .map_or(0, |x| u64::from(x.count_ones()));
+            self.tree_add(closed, count);
+            self.closed += 1;
+        }
+        if let Some(word) = self.words.get_mut(w) {
+            *word |= 1 << (j % 64);
+        }
+    }
+
+    /// Clear the flag at position `p`.
+    fn clear(&mut self, p: usize) {
+        let w = p / 64;
+        if let Some(word) = self.words.get_mut(w) {
+            *word &= !(1 << (p % 64));
+        }
+        if w < self.closed {
+            self.tree_add(w, 1u64.wrapping_neg());
+        }
+    }
+
+    /// Flags at positions `0..=p`.
+    fn prefix(&self, p: usize) -> u64 {
+        let w = p / 64;
+        let below = (2u64 << (p % 64)).wrapping_sub(1);
+        let mut sum = self
+            .words
+            .get(w)
+            .map_or(0, |x| u64::from((x & below).count_ones()));
+        // Words below `w` are closed: `p` precedes the newest position,
+        // so `w` is at most the open word.
+        let mut k = w;
+        while k > 0 {
+            sum = sum.wrapping_add(self.tree.get(k).copied().unwrap_or(0));
+            k -= k & k.wrapping_neg();
         }
         sum
     }
@@ -94,20 +158,28 @@ pub struct TraceSummary {
     /// touched since the previous access to the same block, inclusive of
     /// the block itself), or 0 for a first access (infinite distance).
     depth: Vec<u64>,
-    /// The finite entries of `depth`, sorted ascending — the
-    /// stack-distance histogram in cumulative form.
-    depth_sorted: Vec<u64>,
+    /// `warm_at_most[d]` = finite entries of `depth` that are at most `d`
+    /// — the stack-distance histogram in cumulative form, indexed by
+    /// depth. A depth never exceeds the distinct blocks seen before it, so
+    /// the last index is the distinct-block count and the last entry is
+    /// the number of re-accesses.
+    warm_at_most: Vec<u64>,
     /// `leaf_before[j]` = leaf marks occurring before access `j` in event
     /// order; the final entry (index `accesses`) is the total leaf count.
     leaf_before: Vec<Leaves>,
 }
 
 impl TraceSummary {
-    /// Build the summary in O(A log A) time and O(A) space from any
-    /// [`TraceStream`] — a recorded [`crate::tracer::BlockTrace`] or a
-    /// compiled [`crate::bytecode::TraceProgram`] decoded on the fly; the
-    /// result is identical either way because the stream contract fixes
-    /// the event sequence.
+    /// Build the summary in O(A log A) time from any [`TraceStream`] — a
+    /// recorded [`crate::tracer::BlockTrace`] or a compiled
+    /// [`crate::bytecode::TraceProgram`] decoded on the fly; the result is
+    /// identical either way because the stream contract fixes the event
+    /// sequence.
+    ///
+    /// Besides its three output arrays (24 bytes per access), the build
+    /// holds the latest-occurrence flags (A/4 bytes), one last position
+    /// per id on a touched page (8 bytes each) and the depth histogram
+    /// (8 bytes per distinct block).
     #[must_use]
     pub fn new<T: TraceStream + ?Sized>(trace: &T) -> Self {
         let events = trace.events();
@@ -116,12 +188,18 @@ impl TraceSummary {
         let mut prev1 = Vec::with_capacity(a);
         let mut depth = Vec::with_capacity(a);
         let mut leaf_before = Vec::with_capacity(a + 1);
-        let mut depth_sorted = Vec::new();
-        let mut last_pos: BlockMap<u64> = BlockMap::with_capacity_and_hasher(
-            cast::usize_from_u64(trace.distinct_blocks()),
-            BuildBlockHasher::default(),
-        );
-        let mut flags = Fenwick::new(a);
+        // Slot → 1 + position of the block's latest access, 0 if unseen:
+        // the `prev1` entry of the block's next access.
+        let mut dir = PageDirectory::default();
+        let mut last1: Vec<u64> = Vec::new();
+        // `hist[d]` = accesses at depth d, for d in 1..=distinct; grows by
+        // one entry per first access, so every depth has its entry even if
+        // the stream's ids disagree with its `distinct_blocks()`.
+        let mut hist: Vec<u64> =
+            Vec::with_capacity(cast::usize_from_u64(trace.distinct_blocks().min(access_count)) + 1);
+        hist.push(0);
+        let mut flags = LatestFlags::new(a);
+        let mut distinct: u64 = 0;
         let mut leaves: Leaves = 0;
         let mut j: u64 = 0;
         // `for_each` drains through the decoder's `fold` fast path.
@@ -129,43 +207,50 @@ impl TraceSummary {
             TraceEvent::Leaf => leaves += 1,
             TraceEvent::Access(block) => {
                 leaf_before.push(leaves);
-                let ju = cast::usize_from_u64(j);
-                match last_pos.insert(block, j) {
-                    None => {
-                        prev1.push(0);
-                        depth.push(0);
-                    }
-                    Some(p) => {
-                        let pu = cast::usize_from_u64(p);
-                        prev1.push(p + 1);
-                        // Distinct blocks strictly between p and j are
-                        // the "latest occurrence" flags in (p, j); the
-                        // block itself adds 1.
-                        let between = if ju > pu + 1 {
-                            flags.prefix(ju - 1).wrapping_sub(flags.prefix(pu))
-                        } else {
-                            0
-                        };
-                        let d = between + 1;
-                        depth.push(d);
-                        depth_sorted.push(d);
-                        // The block's latest occurrence moves to j.
-                        flags.add(pu, 1u64.wrapping_neg());
-                    }
+                let slot = dir.slot(block);
+                if slot >= last1.len() {
+                    last1.resize(dir.slots(), 0);
                 }
-                flags.add(ju, 1);
+                let p1 = last1
+                    .get_mut(slot)
+                    .map_or(0, |x| std::mem::replace(x, j + 1));
+                prev1.push(p1);
+                if p1 == 0 {
+                    depth.push(0);
+                    distinct += 1;
+                    hist.push(0);
+                } else {
+                    let p = cast::usize_from_u64(p1 - 1);
+                    // Every flag marks the latest access of one of the
+                    // `distinct` blocks seen so far; those after p belong
+                    // to the blocks touched strictly between p and j, and
+                    // the block itself adds 1.
+                    let d = distinct.wrapping_sub(flags.prefix(p)) + 1;
+                    depth.push(d);
+                    if let Some(h) = hist.get_mut(cast::usize_from_u64(d)) {
+                        *h += 1;
+                    }
+                    // The block's latest occurrence moves to j.
+                    flags.clear(p);
+                }
+                flags.push(cast::usize_from_u64(j));
                 j += 1;
             }
         });
         leaf_before.push(leaves);
-        depth_sorted.sort_unstable();
+        let mut warm_at_most = hist;
+        let mut running = 0u64;
+        for count in &mut warm_at_most {
+            running += *count;
+            *count = running;
+        }
         TraceSummary {
             accesses: access_count,
             distinct_blocks: trace.distinct_blocks(),
             total_leaves: leaves,
             prev1,
             depth,
-            depth_sorted,
+            warm_at_most,
             leaf_before,
         }
     }
@@ -211,12 +296,17 @@ impl TraceSummary {
 
     /// Exact fault count of a constant LRU cache of `cache_blocks` blocks
     /// on this trace, by the stack-distance theorem — equal, access for
-    /// access, to `replay_fixed` in `cadapt-paging`. O(log A).
+    /// access, to `replay_fixed` in `cadapt-paging`. O(1): one lookup in
+    /// the cumulative depth histogram.
     #[must_use]
     pub fn faults_fixed(&self, cache_blocks: Blocks) -> Io {
-        let warm_hits = self.depth_sorted.partition_point(|&d| d <= cache_blocks);
-        let warm_misses = self.depth_sorted.len() - warm_hits;
-        Io::from(self.distinct_blocks) + Io::from(cast::u64_from_usize(warm_misses))
+        let warm = self.warm_at_most.last().copied().unwrap_or(0);
+        let warm_hits = usize::try_from(cache_blocks)
+            .ok()
+            .and_then(|c| self.warm_at_most.get(c))
+            .copied()
+            .unwrap_or(warm);
+        Io::from(self.distinct_blocks) + Io::from(warm - warm_hits)
     }
 }
 
@@ -291,6 +381,39 @@ mod tests {
         assert_eq!(s.accesses(), 0);
         assert_eq!(s.leaves(), 2);
         assert_eq!(s.leaves_before(), &[2]);
+    }
+
+    /// A stream that understates its distinct blocks: the build sizes the
+    /// depth histogram from the ids it decodes, so depths and the
+    /// histogram stay those of the events.
+    #[test]
+    fn a_distinct_count_that_disagrees_with_the_ids_does_not_break_the_build() {
+        struct Understated(BlockTrace);
+        impl TraceStream for Understated {
+            type Events<'a> = <BlockTrace as TraceStream>::Events<'a>;
+            fn events(&self) -> Self::Events<'_> {
+                TraceStream::events(&self.0)
+            }
+            fn accesses(&self) -> u64 {
+                self.0.accesses()
+            }
+            fn distinct_blocks(&self) -> Blocks {
+                1
+            }
+            fn leaves(&self) -> Leaves {
+                0
+            }
+        }
+        let blocks: Vec<u64> = (0..300).map(|i| i * 7 % 50 + i / 100 * 600).collect();
+        let honest = TraceSummary::new(&trace_of(&blocks));
+        let s = TraceSummary::new(&Understated(trace_of(&blocks)));
+        assert_eq!(s.depths(), honest.depths());
+        assert_eq!(s.prev1(), honest.prev1());
+        // Fault counts add the stream's own distinct count, as before.
+        let distinct = Io::from(honest.distinct_blocks());
+        for c in [0, 1, 5, 40, 200] {
+            assert_eq!(s.faults_fixed(c) + distinct - 1, honest.faults_fixed(c));
+        }
     }
 
     #[test]
