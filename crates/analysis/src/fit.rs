@@ -6,10 +6,8 @@
 //! applies simple, explicit decision rules so the integration tests and the
 //! EXPERIMENTS.md tables can state "who wins" mechanically.
 
-use serde::{Deserialize, Serialize};
-
 /// Least-squares line fit y = slope·x + intercept.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LineFit {
     /// Fitted slope.
     pub slope: f64,
@@ -54,7 +52,7 @@ pub fn fit_line(points: &[(f64, f64)]) -> LineFit {
 }
 
 /// The growth law of a ratio series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrowthClass {
     /// Bounded — consistent with efficient cache-adaptivity (Θ(1) ratio).
     Constant,

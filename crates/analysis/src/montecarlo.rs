@@ -19,7 +19,6 @@ use cadapt_core::counters::{CounterSnapshot, Recording};
 use cadapt_core::{Blocks, BoxSource, CancelToken, RunCursorExt};
 use cadapt_recursion::{run_cursor_on_profile, AbcParams, RunConfig, RunError};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a Monte-Carlo estimate failed, keyed by the offending trial.
@@ -89,7 +88,7 @@ impl Default for McConfig {
 }
 
 /// Aggregated Monte-Carlo outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McSummary {
     /// Problem size.
     pub n: Blocks,

@@ -156,13 +156,13 @@ where
     let next_trial = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
     let shared_counters = SharedCounters::new();
-    let hauls: Vec<Haul<T, E>> = crossbeam::thread::scope(|scope| {
+    let hauls: Vec<Haul<T, E>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
             let next = &next_trial;
             let stop = &stop;
             let counters = &shared_counters;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let recording = Recording::start();
                 let mut done: Vec<(u64, T)> = Vec::new();
                 let mut failed: Vec<(u64, Outcome<E>)> = Vec::new();
@@ -212,9 +212,7 @@ where
                 ),
             })
             .collect()
-    })
-    // cadapt-lint: allow(panic-reach) -- engine-internal invariant: the scope closure above does not panic
-    .expect("scope panicked");
+    });
 
     // Make the workers' counts visible to the caller's own recording (a
     // per-trial sum, hence schedule-independent) before any early return.

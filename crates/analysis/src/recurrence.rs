@@ -24,11 +24,10 @@
 
 use cadapt_core::{Blocks, CoreError, Potential};
 use cadapt_profiles::dist::BoxDist;
-use serde::{Deserialize, Serialize};
 
 /// A discrete box-size distribution with explicit probabilities — the form
 /// the recurrence engine consumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscreteSigma {
     /// (size, probability) pairs, sizes strictly increasing, probabilities
     /// summing to 1.
@@ -121,7 +120,7 @@ impl DiscreteSigma {
 
 /// Rigorous lower/upper bounds on the Lemma 3 quantities at one problem
 /// size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecurrenceBounds {
     /// Problem size n.
     pub n: Blocks,
@@ -257,7 +256,7 @@ pub fn recurrence_bounds(
 /// step `f(n)/f(n/b) ≤ b^e · m_{n/b}/m_n` — which *can fail* (the scan term
 /// can inflate f(n)), which is exactly why the proof needs the scanless
 /// f′(n) (Eq. 7) and the telescoping product bound (Eq. 8).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Equation6Check {
     /// Problem size n (the step compares n against n/b).
     pub n: Blocks,

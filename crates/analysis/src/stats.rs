@@ -1,10 +1,8 @@
 //! Streaming sample statistics (Welford) and normal-approximation
 //! confidence intervals for Monte-Carlo summaries.
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulated statistics of one scalar across trials.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Stats {
     /// Number of samples.
     pub count: u64,

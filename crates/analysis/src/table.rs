@@ -1,15 +1,14 @@
-//! Plain-text / JSON experiment tables.
+//! Plain-text experiment tables.
 //!
 //! Every experiment harness produces a [`Table`]; the binaries print it,
 //! the integration tests assert on its cells, and EXPERIMENTS.md embeds the
 //! printed form. Keeping one representation avoids the classic drift
 //! between what the harness computes and what the docs claim.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// A titled table with a header row and string cells.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Title printed above the table.
     pub title: String,
@@ -94,45 +93,6 @@ impl Table {
         }
         out
     }
-
-    /// Serialise to pretty JSON.
-    ///
-    /// # Panics
-    ///
-    /// Never in practice (the type is plain data).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        // cadapt-lint: allow(panic-reach) -- invariant: plain-data struct, serialisation cannot fail (documented under # Panics)
-        serde_json::to_string_pretty(self).expect("tables are serialisable")
-    }
-
-    /// Write the JSON form to `dir/<slug>.json`, deriving the slug from the
-    /// title (lowercase alphanumerics and dashes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_json(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let slug: String = self
-            .title
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() {
-                    c.to_ascii_lowercase()
-                } else {
-                    '-'
-                }
-            })
-            .collect::<String>()
-            .split('-')
-            .filter(|s| !s.is_empty())
-            .collect::<Vec<_>>()
-            .join("-");
-        let path = dir.join(format!("{slug}.json"));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
 }
 
 impl std::fmt::Display for Table {
@@ -184,31 +144,6 @@ mod tests {
         t.push_row(vec!["256".into(), "2.5".into()]);
         assert_eq!(t.numeric_column("ratio"), vec![1.5, 2.5]);
         assert!(t.numeric_column("missing").is_empty());
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut t = Table::new("demo", &["x"]);
-        t.push_row(vec!["1".into()]);
-        let back: Table = serde_json::from_str(&t.to_json()).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn write_json_slugs_title() {
-        let mut t = Table::new("E1: adaptivity ratio (worst case)", &["x"]);
-        t.push_row(vec!["1".into()]);
-        let dir = std::env::temp_dir().join("cadapt-table-test");
-        let path = t.write_json(&dir).unwrap();
-        assert!(path
-            .file_name()
-            .unwrap()
-            .to_str()
-            .unwrap()
-            .starts_with("e1-"));
-        let back: Table = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(back, t);
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! One registry, one runner, one on-disk format — the machinery behind the
 //! `cadapt-bench` binary. Every experiment module implements [`Experiment`]
 //! (id, title, determinism, and a fallible `run` producing metrics +
-//! rendered tables); [`run_record`] executes one under a counter
+//! rendered tables); [`run_record_resilient`] executes one under a counter
 //! [`Recording`] and a wall clock and packages the outcome as a
 //! schema-versioned [`RunRecord`]; [`check::compare`] diffs a fresh record
 //! against a committed golden under explicit tolerance bands.
@@ -18,8 +18,8 @@
 //! goldens stay robust to retunings of trial counts and sweeps.
 //!
 //! Failure contract: experiments return typed [`BenchError`]s instead of
-//! panicking, and [`run_record_resilient`] additionally contains anything
-//! that *does* panic — a failing experiment degrades to a partial record
+//! panicking, and [`run_record_resilient`] also contains anything that
+//! *does* panic — a failing experiment degrades to a partial record
 //! marked `complete: false` (which `check` rejects and `--resume`
 //! re-runs) instead of taking down the suite.
 
@@ -41,7 +41,7 @@ use crate::experiments::{
     e3_size_perturb, e4_start_shift, e5_box_order, e6_recurrence, e7_potential,
     e8_trace_validation, e9_taxonomy,
 };
-use crate::{ExpCtx, Scale};
+use crate::ExpCtx;
 use cadapt_core::counters::Recording;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -104,48 +104,12 @@ pub fn find(id: &str) -> Option<&'static dyn Experiment> {
     registry().iter().find(|e| e.id() == id).copied()
 }
 
-/// Run one experiment under the observability layer and package the
-/// outcome as a [`RunRecord`], with the default thread budget.
-///
-/// # Errors
-///
-/// Propagates the experiment's [`BenchError`].
-pub fn run_record(exp: &dyn Experiment, scale: Scale) -> Result<RunRecord, BenchError> {
-    run_record_ctx(exp, ExpCtx::new(scale))
-}
-
-/// As [`run_record`], with an explicit execution context. The worker
-/// counters of the experiment's trial fan-out fold into this recording
-/// (per-trial sums), so the record's counters are thread-count
-/// independent.
-///
-/// # Errors
-///
-/// Propagates the experiment's [`BenchError`].
-pub fn run_record_ctx(exp: &dyn Experiment, ctx: ExpCtx) -> Result<RunRecord, BenchError> {
-    // cadapt-lint: allow(nondet-source) -- wall clock feeds only the wall_ms field, which golden comparison explicitly ignores (see check::wall_time_is_not_compared)
-    let clock = Instant::now();
-    let scale = ctx.scale;
-    let recording = Recording::start();
-    let outcome = exp.run(ctx);
-    let counters = recording.finish();
-    let output = outcome?;
-    Ok(RunRecord {
-        schema_version: SCHEMA_VERSION,
-        experiment: exp.id().to_string(),
-        title: exp.title().to_string(),
-        scale: scale.name().to_string(),
-        deterministic: exp.deterministic(),
-        wall_ms: clock.elapsed().as_secs_f64() * 1e3,
-        counters,
-        metrics: output.metrics,
-        tables: output.tables,
-        complete: true,
-    })
-}
-
 /// Run one experiment, containing **any** failure — a typed error or an
 /// outright panic — as a partial record instead of letting it escape.
+///
+/// The worker counters of the experiment's trial fan-out fold into this
+/// run's recording (per-trial sums), so the record's counters are
+/// thread-count independent.
 ///
 /// On failure the returned record is marked `complete: false`, carries no
 /// metrics, and stores the failure text as its only table; the error
@@ -161,32 +125,23 @@ pub fn run_record_resilient(exp: &dyn Experiment, ctx: ExpCtx) -> (RunRecord, Op
     // AssertUnwindSafe: the experiment only borrows Sync registry state;
     // a panicking run's partial work is dropped with its stack, and the
     // counter cells stay internally consistent (plain thread-local adds).
-    let outcome = catch_unwind(AssertUnwindSafe(|| exp.run(ctx)));
-    let counters = recording.finish();
-    let failure = match outcome {
-        Ok(Ok(output)) => {
-            return (
-                RunRecord {
-                    schema_version: SCHEMA_VERSION,
-                    experiment: exp.id().to_string(),
-                    title: exp.title().to_string(),
-                    scale: scale.name().to_string(),
-                    deterministic: exp.deterministic(),
-                    wall_ms: clock.elapsed().as_secs_f64() * 1e3,
-                    counters,
-                    metrics: output.metrics,
-                    tables: output.tables,
-                    complete: true,
-                },
-                None,
-            )
-        }
-        Ok(Err(error)) => error,
-        Err(payload) => BenchError::Panicked {
+    let outcome = catch_unwind(AssertUnwindSafe(|| exp.run(ctx))).unwrap_or_else(|payload| {
+        Err(BenchError::Panicked {
             context: format!("experiment {}", exp.id()),
             trial: None,
             message: panic_text(payload.as_ref()),
-        },
+        })
+    });
+    let counters = recording.finish();
+    let (output, failure) = match outcome {
+        Ok(output) => (output, None),
+        Err(failure) => (
+            ExperimentOutput {
+                metrics: Vec::new(),
+                tables: vec![format!("experiment {} FAILED: {failure}\n", exp.id())],
+            },
+            Some(failure),
+        ),
     };
     let record = RunRecord {
         schema_version: SCHEMA_VERSION,
@@ -196,11 +151,11 @@ pub fn run_record_resilient(exp: &dyn Experiment, ctx: ExpCtx) -> (RunRecord, Op
         deterministic: exp.deterministic(),
         wall_ms: clock.elapsed().as_secs_f64() * 1e3,
         counters,
-        metrics: Vec::new(),
-        tables: vec![format!("experiment {} FAILED: {failure}\n", exp.id())],
-        complete: false,
+        metrics: output.metrics,
+        tables: output.tables,
+        complete: failure.is_none(),
     };
-    (record, Some(failure))
+    (record, failure)
 }
 
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -216,7 +171,17 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
     use std::collections::BTreeSet;
+
+    /// Run a registered experiment at the quick tier, asserting that the
+    /// runner reports no failure.
+    fn healthy_record(id: &str) -> RunRecord {
+        let exp = find(id).unwrap();
+        let (record, failure) = run_record_resilient(exp, ExpCtx::new(Scale::Quick));
+        assert!(failure.is_none(), "{id}: {failure:?}");
+        record
+    }
 
     #[test]
     fn registry_ids_are_unique_and_complete() {
@@ -237,10 +202,9 @@ mod tests {
 
     #[test]
     fn deterministic_run_records_reproduce_and_count() {
-        let exp = find("e1").unwrap();
-        assert!(exp.deterministic());
-        let first = run_record(exp, Scale::Quick).unwrap();
-        let second = run_record(exp, Scale::Quick).unwrap();
+        assert!(find("e1").unwrap().deterministic());
+        let first = healthy_record("e1");
+        let second = healthy_record("e1");
         assert!(!first.metrics.is_empty());
         assert!(!first.tables.is_empty());
         assert!(first.complete);
@@ -259,8 +223,7 @@ mod tests {
 
     #[test]
     fn run_record_round_trips_through_json() {
-        let exp = find("e11").unwrap();
-        let record = run_record(exp, Scale::Quick).unwrap();
+        let record = healthy_record("e11");
         let back = RunRecord::from_json(&record.to_json()).unwrap();
         assert!(compare(&record, &back).passed());
         assert_eq!(record.counters, back.counters);
@@ -268,8 +231,7 @@ mod tests {
 
     #[test]
     fn tampered_golden_fails_the_check() {
-        let exp = find("e11").unwrap();
-        let golden = run_record(exp, Scale::Quick).unwrap();
+        let golden = healthy_record("e11");
         let mut fresh = golden.clone();
         fresh.metrics[0].value += 1.0;
         assert!(!compare(&golden, &fresh).passed());
@@ -325,15 +287,5 @@ mod tests {
             run_record_resilient(&Explosive { kind: "typed" }, ExpCtx::new(Scale::Quick));
         assert!(!record.complete);
         assert!(matches!(failure, Some(BenchError::Invariant { .. })));
-    }
-
-    #[test]
-    fn resilient_runner_is_transparent_for_healthy_experiments() {
-        let exp = find("e11").unwrap();
-        let (resilient, failure) = run_record_resilient(exp, ExpCtx::new(Scale::Quick));
-        assert!(failure.is_none());
-        assert!(resilient.complete);
-        let direct = run_record(exp, Scale::Quick).unwrap();
-        assert!(compare(&direct, &resilient).passed());
     }
 }

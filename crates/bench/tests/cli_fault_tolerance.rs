@@ -78,21 +78,31 @@ fn check_against_missing_golden_exits_4_and_names_the_cure() {
 
 #[test]
 fn check_against_malformed_golden_exits_4_with_the_parse_failure() {
-    let golden_dir = scratch("malformed-golden");
-    std::fs::write(golden_dir.join("e1.json"), "{\"schema_version\": ").expect("write stub");
-    let output = run_bench(&[
-        "check",
-        "--exp",
-        "e1",
-        "--quick",
-        "--golden",
-        golden_dir.to_str().expect("utf8 path"),
-    ]);
-    assert_eq!(exit_code(&output), 4, "stderr: {}", stderr_text(&output));
-    let err = stderr_text(&output);
-    assert!(err.contains("golden record for `e1` unusable"), "{err}");
-    assert!(err.contains("invalid JSON"), "{err}");
-    let _ = std::fs::remove_dir_all(&golden_dir);
+    // A truncated record, and brackets nested far past the parser's depth
+    // limit: the second must be refused, not overflow the stack.
+    let truncated = "{\"schema_version\": ".to_string();
+    let deep = "[".repeat(200_000);
+    for (tag, text, failure) in [
+        ("truncated", truncated, "invalid JSON"),
+        ("deep", deep, "nesting deeper than 128 levels"),
+    ] {
+        let golden_dir = scratch(&format!("malformed-golden-{tag}"));
+        std::fs::write(golden_dir.join("e1.json"), text).expect("write stub");
+        let output = run_bench(&[
+            "check",
+            "--exp",
+            "e1",
+            "--quick",
+            "--golden",
+            golden_dir.to_str().expect("utf8 path"),
+        ]);
+        assert_eq!(exit_code(&output), 4, "stderr: {}", stderr_text(&output));
+        let err = stderr_text(&output);
+        assert!(err.contains("golden record for `e1` unusable"), "{err}");
+        assert!(err.contains("e1.json"), "{err}");
+        assert!(err.contains(failure), "{err}");
+        let _ = std::fs::remove_dir_all(&golden_dir);
+    }
 }
 
 #[test]

@@ -43,15 +43,19 @@ fn record_from(
 }
 
 fn text_strategy() -> impl Strategy<Value = String> {
-    // Strings exercising JSON escaping: quotes, backslashes, newlines,
-    // non-ASCII.
+    // Strings exercising JSON escaping: quotes, backslashes, newlines, a
+    // control character (the `\u00XX` escape), and 2-, 3- and 4-byte
+    // UTF-8 scalars.
     proptest::collection::vec(
         prop_oneof![
             Just("a".to_string()),
             Just("\"".to_string()),
             Just("\\".to_string()),
             Just("\n".to_string()),
+            Just("\u{1}".to_string()),
             Just("é".to_string()),
+            Just("€".to_string()),
+            Just("𝄞".to_string()),
             Just("metric/1".to_string()),
         ],
         0..8,

@@ -3,7 +3,7 @@
 //! produce bit-identical run records — same metric bits, same counters,
 //! same rendered tables. Only wall time may differ.
 
-use cadapt_bench::harness::{find, run_record_ctx, RunRecord};
+use cadapt_bench::harness::{find, run_record_resilient, RunRecord};
 use cadapt_bench::{ExpCtx, Scale};
 
 fn record(id: &str, threads: usize) -> RunRecord {
@@ -12,7 +12,9 @@ fn record(id: &str, threads: usize) -> RunRecord {
         exp.deterministic(),
         "{id} must declare the determinism contract it is tested against"
     );
-    run_record_ctx(exp, ExpCtx::with_threads(Scale::Quick, threads)).expect("experiment runs")
+    let (record, failure) = run_record_resilient(exp, ExpCtx::with_threads(Scale::Quick, threads));
+    assert!(failure.is_none(), "{id} failed: {failure:?}");
+    record
 }
 
 fn assert_bit_identical(id: &str) {

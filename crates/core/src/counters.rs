@@ -18,12 +18,11 @@
 //! Counters are diagnostics, not semantics: they never feed back into the
 //! simulation, so enabling them cannot change any result.
 
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A point-in-time reading of the execution counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// Boxes advanced by the execution drivers (abstract or trace replay).
     pub boxes_advanced: u64,
@@ -331,19 +330,5 @@ mod tests {
         assert_eq!(b.boxes_advanced, 10);
         assert_eq!(b.minus(a), a);
         assert!(a.minus(b).is_zero());
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_json() {
-        let a = CounterSnapshot {
-            boxes_advanced: 5,
-            cursor_steps: 1,
-            ios_charged: 2,
-            cache_hits: 3,
-            cache_evictions: 4,
-        };
-        let json = serde_json::to_string(&a).unwrap();
-        let back: CounterSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(a, back);
     }
 }

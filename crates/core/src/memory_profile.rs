@@ -14,10 +14,9 @@
 
 use crate::profile::SquareProfile;
 use crate::{Blocks, CoreError, Io};
-use serde::{Deserialize, Serialize};
 
 /// A run of the profile: the cache has size `size` for `len` I/Os.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
     /// Cache size in blocks during this run.
     pub size: Blocks,
@@ -38,7 +37,7 @@ pub struct Segment {
 /// assert_eq!(squares.total_time(), profile.total_time());
 /// # Ok::<(), cadapt_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryProfile {
     segments: Vec<Segment>,
     total: Io,

@@ -16,10 +16,9 @@
 //! exact integer-exponent path that avoids `powf` rounding.
 
 use crate::Blocks;
-use serde::{Deserialize, Serialize};
 
 /// Evaluator for ρ(x) = x^e with e = log_b a, plus the n-bounded variant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Potential {
     a: u64,
     b: u64,

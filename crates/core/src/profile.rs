@@ -16,7 +16,6 @@
 
 use crate::potential::Potential;
 use crate::{Blocks, CoreError, Io};
-use serde::{Deserialize, Serialize};
 
 /// A run of identical consecutive boxes in a profile.
 ///
@@ -113,7 +112,7 @@ impl<S: BoxSource + ?Sized> BoxSource for Box<S> {
 /// assert_eq!(profile.bounded_potential(&rho, 4), 1.0 + 8.0 + 8.0);
 /// # Ok::<(), cadapt_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SquareProfile {
     boxes: Vec<Blocks>,
 }
@@ -648,13 +647,5 @@ mod tests {
         let run = rec.next_run();
         assert_eq!(run, BoxRun { size: 7, repeat: 1 });
         assert_eq!(rec.record(), &[7]);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let p = profile(&[1, 2, 3]);
-        let json = serde_json::to_string(&p).unwrap();
-        let back: SquareProfile = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
     }
 }

@@ -13,12 +13,11 @@
 use crate::potential::Potential;
 use crate::report::AdaptivityReport;
 use crate::{Blocks, Io, Leaves};
-use serde::{Deserialize, Serialize};
 
 /// What one box achieved: its size, the progress (base cases at least partly
 /// completed) inside it, and the I/Os actually used (≤ size; the final box
 /// of a run is typically only partly used).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoxRecord {
     /// Size of the box in blocks (= its duration in I/Os).
     pub size: Blocks,

@@ -14,10 +14,9 @@
 //! the experiment harness aggregates.
 
 use crate::{Blocks, Io, Leaves};
-use serde::{Deserialize, Serialize};
 
 /// Aggregated outcome of one execution on one square profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptivityReport {
     /// Branching factor a of the algorithm.
     pub a: u64,
@@ -92,7 +91,7 @@ impl AdaptivityReport {
 }
 
 /// Per-run threshold check; see [`AdaptivityReport::verdict`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Verdict {
     /// The ratio was within the threshold.
     Efficient,
@@ -156,13 +155,5 @@ mod tests {
         r.required_progress = 0.0;
         assert_eq!(r.ratio(), 0.0);
         assert_eq!(r.raw_ratio(), 0.0);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let r = report(2.0, 1.0);
-        let s = serde_json::to_string(&r).unwrap();
-        let back: AdaptivityReport = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, r);
     }
 }

@@ -9,7 +9,7 @@
 //! `message.text` and a `physicalLocation` carrying the workspace-relative
 //! `artifactLocation.uri` and a 1-based `region.startLine`.
 //!
-//! `tests/sarif.rs` validates the output against the 2.1.0 schema
+//! `tests/sarif_output.rs` validates the output against the 2.1.0 schema
 //! requirements (via the vendored `serde_json` shim) and pins the schema
 //! URI so drift is loud.
 

@@ -21,7 +21,7 @@ fn path<'a>(v: &'a Value, keys: &[&str]) -> Option<&'a Value> {
 fn report_for(src: &str, rel_path: &str) -> Value {
     let diags = lint_source(rel_path, src);
     assert!(!diags.is_empty(), "fixture should produce diagnostics");
-    serde_json::from_str(&render_sarif(&diags)).expect("SARIF output is valid JSON")
+    Value::parse_json(&render_sarif(&diags)).expect("SARIF output is valid JSON")
 }
 
 #[test]
@@ -116,8 +116,7 @@ fn sarif_rules_cover_the_registry_and_results_index_into_them() {
 
 #[test]
 fn sarif_with_no_findings_is_an_empty_results_run() {
-    let report: Value =
-        serde_json::from_str(&render_sarif(&[])).expect("empty report is valid JSON");
+    let report = Value::parse_json(&render_sarif(&[])).expect("empty report is valid JSON");
     let runs = get(&report, "runs")
         .and_then(Value::as_array)
         .expect("runs");

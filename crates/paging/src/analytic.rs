@@ -41,18 +41,16 @@
 //! ([`SquareProfile::new`](cadapt_core::SquareProfile::new) rejects such
 //! profiles; only `from_boxes_unchecked` can construct them).
 
-use crate::replay::{
-    replay_fixed, replay_memory_profile, replay_square_profile, replay_square_profile_history,
-    FixedReplay, ProfileReplay,
-};
+use crate::replay::{FixedReplay, ProfileReplay};
 use cadapt_core::{
     cast, AdaptivityReport, Blocks, BoxRecord, BoxSource, Io, MemoryProfile, Potential,
     ProgressLedger,
 };
-use cadapt_trace::{SummarizedTrace, TraceSummary};
+use cadapt_trace::TraceSummary;
 
 /// Fixed-cache (classical DAM) fault count in closed form — equal, field
-/// for field, to [`replay_fixed`] on the summarised trace.
+/// for field, to [`replay_fixed`](crate::replay_fixed) on the summarised
+/// trace.
 ///
 /// ```
 /// use cadapt_paging::{analytic_fixed, replay_fixed};
@@ -75,7 +73,7 @@ pub fn analytic_fixed(summary: &TraceSummary, cache_blocks: Blocks) -> FixedRepl
 }
 
 /// Square-profile replay in closed form — the same [`AdaptivityReport`]
-/// as [`replay_square_profile`], box for box.
+/// as [`replay_square_profile`](crate::replay_square_profile), box for box.
 #[must_use]
 pub fn analytic_square_profile<S: BoxSource>(
     summary: &TraceSummary,
@@ -88,7 +86,7 @@ pub fn analytic_square_profile<S: BoxSource>(
 
 /// As [`analytic_square_profile`], additionally returning the per-box
 /// history for lock-step comparison against
-/// [`replay_square_profile_history`].
+/// [`replay_square_profile_history`](crate::replay_square_profile_history).
 #[must_use]
 pub fn analytic_square_profile_history<S: BoxSource>(
     summary: &TraceSummary,
@@ -154,8 +152,8 @@ fn analytic_square_into<S: BoxSource>(
 }
 
 /// Arbitrary-profile replay in closed form — the same [`ProfileReplay`]
-/// as [`replay_memory_profile`]. One O(A) pass over the stack distances,
-/// reading m(t) through a forward
+/// as [`replay_memory_profile`](crate::replay_memory_profile). One O(A)
+/// pass over the stack distances, reading m(t) through a forward
 /// [`ProfileCursor`](cadapt_core::ProfileCursor).
 #[must_use]
 pub fn analytic_memory_profile(summary: &TraceSummary, profile: &MemoryProfile) -> ProfileReplay {
@@ -204,89 +202,17 @@ pub fn analytic_memory_profile(summary: &TraceSummary, profile: &MemoryProfile) 
     }
 }
 
-/// The caching-model backend of a trace-level experiment: the exact LRU
-/// simulator, or the analytic model proven equal to it. Experiments take
-/// a backend and stay agnostic about which engine produces the numbers —
-/// E14 sweeps capacities at sizes only the analytic backend can reach,
-/// after cross-validating both backends at a common size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheBackend {
-    /// Replay every reference through the [`LruCache`](crate::LruCache),
-    /// streaming events straight out of the trace's compiled bytecode
-    /// program (no event vector is materialised).
-    Simulated,
-    /// Query the memoized [`TraceSummary`] in closed form.
-    Analytic,
-}
-
-impl CacheBackend {
-    /// Both backends, simulator first.
-    pub const ALL: [CacheBackend; 2] = [CacheBackend::Simulated, CacheBackend::Analytic];
-
-    /// Stable label for tables and metric names.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            CacheBackend::Simulated => "simulated",
-            CacheBackend::Analytic => "analytic",
-        }
-    }
-
-    /// Fixed-cache replay under this backend.
-    #[must_use]
-    pub fn fixed(self, st: &SummarizedTrace, cache_blocks: Blocks) -> FixedReplay {
-        match self {
-            CacheBackend::Simulated => replay_fixed(st.program(), cache_blocks),
-            CacheBackend::Analytic => analytic_fixed(st.summary(), cache_blocks),
-        }
-    }
-
-    /// Square-profile replay under this backend.
-    #[must_use]
-    pub fn square_profile<S: BoxSource>(
-        self,
-        st: &SummarizedTrace,
-        source: &mut S,
-        rho: Potential,
-    ) -> AdaptivityReport {
-        match self {
-            CacheBackend::Simulated => replay_square_profile(st.program(), source, rho),
-            CacheBackend::Analytic => analytic_square_profile(st.summary(), source, rho),
-        }
-    }
-
-    /// Square-profile replay with per-box history under this backend.
-    #[must_use]
-    pub fn square_profile_history<S: BoxSource>(
-        self,
-        st: &SummarizedTrace,
-        source: &mut S,
-        rho: Potential,
-    ) -> (AdaptivityReport, Vec<BoxRecord>) {
-        match self {
-            CacheBackend::Simulated => replay_square_profile_history(st.program(), source, rho),
-            CacheBackend::Analytic => analytic_square_profile_history(st.summary(), source, rho),
-        }
-    }
-
-    /// Arbitrary-profile replay under this backend.
-    #[must_use]
-    pub fn memory_profile(self, st: &SummarizedTrace, profile: &MemoryProfile) -> ProfileReplay {
-        match self {
-            CacheBackend::Simulated => replay_memory_profile(st.program(), profile),
-            CacheBackend::Analytic => analytic_memory_profile(st.summary(), profile),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::{
+        replay_fixed, replay_memory_profile, replay_square_profile, replay_square_profile_history,
+    };
     use cadapt_core::counters::Recording;
     use cadapt_core::memory_profile::Segment;
     use cadapt_core::profile::ConstantSource;
     use cadapt_core::SquareProfile;
-    use cadapt_trace::{summarized, TraceAlgo, Tracer};
+    use cadapt_trace::{summarized, SummarizedTrace, TraceAlgo, Tracer};
 
     fn summarise(blocks: &[u64]) -> SummarizedTrace {
         let mut t = Tracer::new(1);
@@ -422,29 +348,5 @@ mod tests {
         assert!(sim.cache_hits > 0);
         assert_eq!(ana.cache_hits, 0);
         assert_eq!(ana.cache_evictions, 0);
-    }
-
-    #[test]
-    fn backend_dispatch_is_transparent() {
-        let st = summarized(TraceAlgo::MmScan, 8, 4);
-        let rho = TraceAlgo::MmScan.potential();
-        assert_eq!(CacheBackend::Simulated.label(), "simulated");
-        assert_eq!(CacheBackend::Analytic.label(), "analytic");
-        let sim = CacheBackend::Simulated.fixed(&st, 16);
-        let ana = CacheBackend::Analytic.fixed(&st, 16);
-        assert_eq!(sim, ana);
-        let sim = CacheBackend::Simulated.square_profile(&st, &mut ConstantSource::new(16), rho);
-        let ana = CacheBackend::Analytic.square_profile(&st, &mut ConstantSource::new(16), rho);
-        assert_eq!(sim.total_io, ana.total_io);
-        assert_eq!(sim.boxes_used, ana.boxes_used);
-        let profile = MemoryProfile::from_segments(vec![Segment {
-            size: 32,
-            len: 1 << 20,
-        }])
-        .unwrap();
-        assert_eq!(
-            CacheBackend::Simulated.memory_profile(&st, &profile),
-            CacheBackend::Analytic.memory_profile(&st, &profile)
-        );
     }
 }

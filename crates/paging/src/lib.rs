@@ -37,10 +37,14 @@
 //! Each simulated replay mode has an analytic twin in [`analytic`] that
 //! computes the identical numbers in closed form from a
 //! [`TraceSummary`](cadapt_trace::TraceSummary) — no cache state, no
-//! per-reference replay — selectable per experiment through
-//! [`analytic::CacheBackend`]. The equivalence is exact and enforced by
-//! proptest (`tests/props_analytic_equivalence.rs`) and the corpus
-//! integration suite.
+//! per-reference replay. Experiments call the side they need directly:
+//! `replay_fixed`/`analytic_fixed`, `replay_square_profile`/
+//! `analytic_square_profile` (and their `_history` variants), and
+//! `replay_memory_profile`/`analytic_memory_profile`, each `replay_*`
+//! taking the trace (any `TraceStream`) and each `analytic_*` its summary.
+//! The equivalence is exact and enforced by proptest
+//! (`tests/props_analytic_equivalence.rs`) and the corpus integration
+//! suite.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +56,7 @@ pub mod replay;
 
 pub use analytic::{
     analytic_fixed, analytic_memory_profile, analytic_square_profile,
-    analytic_square_profile_history, CacheBackend,
+    analytic_square_profile_history,
 };
 pub use lru::LruCache;
 pub use opt::replay_opt;

@@ -2,7 +2,6 @@
 
 use crate::cursor::{BatchOutcome, BoxOutcome, ExecCursor};
 use cadapt_core::Blocks;
-use serde::{Deserialize, Serialize};
 
 /// Which box semantics to run an execution under.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// DESIGN.md); the theory of the paper is stated in terms of
 /// [`ExecModel::Simplified`], while [`ExecModel::Capacity`] is the faithful
 /// charging model used to sanity-check it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecModel {
     /// The §4 simplified caching model: each box performs exactly one
     /// action — complete the enclosing problem of its own size, or advance

@@ -1,7 +1,6 @@
 //! (a, b, c) parameters, scan layout, and named algorithm presets.
 
 use cadapt_core::{cast, Blocks, CoreError, Potential};
-use serde::{Deserialize, Serialize};
 
 /// Where the Θ(n^c) scan work of a node sits relative to its recursive calls.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// (the paper notes any upfront-scan algorithm converts to that form); the
 /// other layouts exist to test that WLOG claim empirically (ablation in
 /// DESIGN.md).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanLayout {
     /// The whole scan after the last recursive call (canonical form).
     #[default]
@@ -46,7 +45,7 @@ pub enum ScanLayout {
 /// // MM-Inplace needs no merge scans and escapes the gap:
 /// assert!(!AbcParams::mm_inplace().in_gap_regime());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbcParams {
     a: u64,
     b: u64,
@@ -496,15 +495,5 @@ mod tests {
         assert!(AbcParams::mm_inplace().scan_hidden().is_err());
         assert!(AbcParams::a_equals_b().scan_hidden().is_err());
         assert!(AbcParams::a_below_b().scan_hidden().is_err());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let p = AbcParams::strassen()
-            .with_layout(ScanLayout::Split)
-            .with_base(2);
-        let s = serde_json::to_string(&p).unwrap();
-        let back: AbcParams = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, p);
     }
 }

@@ -2,10 +2,9 @@
 
 use cadapt_core::{Blocks, CoreError, Io, Leaves, Potential};
 use cadapt_recursion::{cursor_for, AbcParams, ExecCursor, ExecModel};
-use serde::{Deserialize, Serialize};
 
 /// What to run: algorithm parameters and problem size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobSpec {
     /// The algorithm.
     pub params: AbcParams,
@@ -111,7 +110,7 @@ impl Job {
 }
 
 /// Summary of one job's run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobOutcome {
     /// What ran.
     pub spec: JobSpec,

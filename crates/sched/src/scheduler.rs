@@ -4,7 +4,6 @@ use crate::job::{Job, JobOutcome, JobSpec};
 use crate::policy::AllocationPolicy;
 use cadapt_core::{Blocks, CoreError, Io};
 use cadapt_recursion::ExecModel;
-use serde::{Deserialize, Serialize};
 
 /// Scheduler configuration.
 #[derive(Debug, Clone, Copy)]
@@ -44,7 +43,7 @@ impl<P> std::fmt::Debug for Scheduler<P> {
 }
 
 /// Outcome of a completed schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleResult {
     /// Per-job summaries, in submission order.
     pub jobs: Vec<JobOutcome>,

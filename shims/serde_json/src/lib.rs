@@ -1,102 +1,39 @@
-//! Offline stand-in for `serde_json`.
+//! Offline stand-in for `serde_json`: the workspace's one JSON path.
 //!
-//! Renders and parses the `serde` shim's [`Value`] tree as JSON text. Only
-//! the entry points the workspace uses are provided.
+//! The build environment has no access to crates.io, so the workspace
+//! vendors the subset of serde_json it uses: the [`Value`] tree that run
+//! records, checkpoint manifests, checksummed envelopes and the fault
+//! report are built from and read back into by hand, a renderer
+//! ([`Value::render_compact`], and [`Value::render_pretty`] in
+//! serde_json's pretty layout) and a parser ([`Value::parse_json`]).
+//!
+//! There is no typed layer (no derivable traits, no `to_string` or
+//! `from_str`): every byte of a record's format is written out in
+//! first-party code. The parser reads untrusted files (goldens,
+//! manifests, records on `--resume`), so it bounds nesting depth and
+//! runs in time linear in its input.
 
-pub use serde::{Error, Map, Number, Value};
+mod parse;
+mod render;
+mod value;
 
-/// Serialize to compact JSON.
-///
-/// # Errors
-///
-/// Never fails in the shim (kept fallible for API parity).
-pub fn to_string<T: serde::Serialize>(value: &T) -> Result<String, Error> {
-    Ok(value.serialize().render_compact())
-}
+pub use value::{Map, Number, Value};
 
-/// Serialize to two-space-indented JSON.
-///
-/// # Errors
-///
-/// Never fails in the shim (kept fallible for API parity).
-pub fn to_string_pretty<T: serde::Serialize>(value: &T) -> Result<String, Error> {
-    Ok(value.serialize().render_pretty())
-}
+/// A JSON syntax error from [`Value::parse_json`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Error(pub String);
 
-/// Parse a value from JSON text.
-///
-/// # Errors
-///
-/// Returns an [`Error`] on malformed JSON or a shape mismatch.
-pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
-    let value = Value::parse_json(text)?;
-    T::deserialize(&value)
-}
-
-/// Serialize to the generic value tree.
-pub fn to_value<T: serde::Serialize>(value: &T) -> Value {
-    value.serialize()
-}
-
-/// Reconstruct a typed value from the generic tree.
-///
-/// # Errors
-///
-/// Returns an [`Error`] on a shape mismatch.
-pub fn from_value<T: serde::Deserialize>(value: &Value) -> Result<T, Error> {
-    T::deserialize(value)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use serde::{Deserialize, Serialize};
-
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
-    struct Demo {
-        name: String,
-        xs: Vec<u64>,
-        ratio: f64,
-    }
-
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
-    enum Kind {
-        Plain,
-        Weighted { factor: f64 },
-    }
-
-    #[test]
-    fn struct_round_trip() {
-        let d = Demo {
-            name: "quick".into(),
-            xs: vec![1, 2, 3],
-            ratio: 1.5,
-        };
-        let s = to_string(&d).unwrap();
-        assert_eq!(s, r#"{"name":"quick","xs":[1,2,3],"ratio":1.5}"#);
-        assert_eq!(from_str::<Demo>(&s).unwrap(), d);
-    }
-
-    #[test]
-    fn enum_round_trip() {
-        let s = to_string(&Kind::Plain).unwrap();
-        assert_eq!(s, r#""Plain""#);
-        assert_eq!(from_str::<Kind>(&s).unwrap(), Kind::Plain);
-        let w = Kind::Weighted { factor: 2.0 };
-        let s = to_string(&w).unwrap();
-        assert_eq!(s, r#"{"Weighted":{"factor":2.0}}"#);
-        assert_eq!(from_str::<Kind>(&s).unwrap(), w);
-    }
-
-    #[test]
-    fn pretty_round_trip() {
-        let d = Demo {
-            name: "p".into(),
-            xs: vec![9],
-            ratio: 0.25,
-        };
-        let s = to_string_pretty(&d).unwrap();
-        assert!(s.contains("\n  \"name\""));
-        assert_eq!(from_str::<Demo>(&s).unwrap(), d);
+impl Error {
+    /// A new error with the given message.
+    pub fn new(msg: impl Into<String>) -> Self {
+        Error(msg.into())
     }
 }
+
+impl std::fmt::Display for Error {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.0)
+    }
+}
+
+impl std::error::Error for Error {}

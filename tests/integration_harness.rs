@@ -3,7 +3,7 @@
 //! committed under `tests/golden/`.
 
 use cadapt::bench::harness::{self, RunRecord, SCHEMA_VERSION};
-use cadapt::bench::Scale;
+use cadapt::bench::{ExpCtx, Scale};
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
@@ -15,6 +15,13 @@ fn load_golden(id: &str) -> RunRecord {
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
     RunRecord::from_json(&text).unwrap_or_else(|e| panic!("bad golden {id}: {e}"))
+}
+
+fn fresh_record(id: &str) -> RunRecord {
+    let exp = harness::find(id).expect("experiment registered");
+    let (record, failure) = harness::run_record_resilient(exp, ExpCtx::new(Scale::Quick));
+    assert!(failure.is_none(), "{id} failed: {failure:?}");
+    record
 }
 
 #[test]
@@ -38,9 +45,8 @@ fn every_experiment_has_a_well_formed_golden() {
 
 #[test]
 fn e1_rerun_matches_its_committed_golden() {
-    let exp = harness::find("e1").expect("e1 registered");
     let golden = load_golden("e1");
-    let fresh = harness::run_record(exp, Scale::Quick).expect("experiment runs");
+    let fresh = fresh_record("e1");
     let report = harness::compare(&golden, &fresh);
     assert!(
         report.passed(),
@@ -51,9 +57,8 @@ fn e1_rerun_matches_its_committed_golden() {
 
 #[test]
 fn e11_rerun_matches_its_committed_golden() {
-    let exp = harness::find("e11").expect("e11 registered");
     let golden = load_golden("e11");
-    let fresh = harness::run_record(exp, Scale::Quick).expect("experiment runs");
+    let fresh = fresh_record("e11");
     let report = harness::compare(&golden, &fresh);
     assert!(
         report.passed(),
@@ -64,9 +69,8 @@ fn e11_rerun_matches_its_committed_golden() {
 
 #[test]
 fn tampering_with_a_golden_is_detected() {
-    let exp = harness::find("e11").expect("e11 registered");
     let mut golden = load_golden("e11");
-    let fresh = harness::run_record(exp, Scale::Quick).expect("experiment runs");
+    let fresh = fresh_record("e11");
     golden.metrics[0].value += 0.5;
     assert!(!harness::compare(&golden, &fresh).passed());
 }

@@ -39,7 +39,9 @@
 //! analytic backend verbatim.
 
 use cadapt::core::SquareProfile;
-use cadapt::paging::CacheBackend;
+use cadapt::paging::{
+    analytic_fixed, analytic_square_profile_history, replay_square_profile_history,
+};
 use cadapt::recursion::{AbcParams, ClosedForms, ExecCursor, ExecModel, ScanLayout};
 use cadapt::trace::{summarized, TraceAlgo};
 use rand::{Rng, SeedableRng};
@@ -211,9 +213,9 @@ fn capacity_simulated_and_capacity_analytic_are_lock_step() {
         for x in [1u64, 4, 16, 64, 256] {
             let profile = SquareProfile::new(vec![x]).expect("positive box");
             let (sim_report, sim_boxes) =
-                CacheBackend::Simulated.square_profile_history(&st, &mut profile.cycle(), rho);
+                replay_square_profile_history(st.program(), &mut profile.cycle(), rho);
             let (ana_report, ana_boxes) =
-                CacheBackend::Analytic.square_profile_history(&st, &mut profile.cycle(), rho);
+                analytic_square_profile_history(st.summary(), &mut profile.cycle(), rho);
             assert_eq!(
                 sim_boxes,
                 ana_boxes,
@@ -241,14 +243,14 @@ fn analytic_backend_obeys_the_three_way_ordering_on_random_menus() {
         let menu: Vec<u64> = (0..len).map(|_| rng.gen_range(1..=64)).collect();
         let profile = SquareProfile::new(menu.clone()).expect("positive boxes");
         let (sim, sim_boxes) =
-            CacheBackend::Simulated.square_profile_history(&st, &mut profile.cycle(), rho);
+            replay_square_profile_history(st.program(), &mut profile.cycle(), rho);
         let (ana, ana_boxes) =
-            CacheBackend::Analytic.square_profile_history(&st, &mut profile.cycle(), rho);
+            analytic_square_profile_history(st.summary(), &mut profile.cycle(), rho);
         assert_eq!(sim_boxes, ana_boxes, "{} menu {menu:?}", algo.label());
         assert_eq!(sim, ana);
         // And the DAM lower bound: a box-cleared capacity replay can
         // never beat a fixed cache as large as its largest box.
-        let fixed = CacheBackend::Analytic.fixed(&st, sim.max_box);
+        let fixed = analytic_fixed(st.summary(), sim.max_box);
         assert!(sim.total_io >= fixed.io, "{} menu {menu:?}", algo.label());
     }
 }
