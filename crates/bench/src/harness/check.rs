@@ -38,9 +38,15 @@ fn tolerance(deterministic: bool, golden: &Metric, fresh: &Metric) -> f64 {
     }
 }
 
+/// Does `fresh` lie within `tol` of `golden`? A non-finite value or band
+/// would make the band infinite (or NaN) and pass anything, so then only
+/// an identical value matches; NaN matches NaN.
 fn values_match(golden: f64, fresh: f64, tol: f64) -> bool {
     if golden.is_nan() && fresh.is_nan() {
         return true;
+    }
+    if !(golden.is_finite() && fresh.is_finite() && tol.is_finite()) {
+        return golden.to_bits() == fresh.to_bits();
     }
     (golden - fresh).abs() <= tol
 }
@@ -214,6 +220,25 @@ mod tests {
     fn nan_matches_nan() {
         let golden = record(true, vec![metric("a", f64::NAN)]);
         assert!(compare(&golden, &golden.clone()).passed());
+    }
+
+    #[test]
+    fn infinite_golden_matches_only_itself() {
+        let inf = record(true, vec![metric("a", f64::INFINITY)]);
+        let finite = record(true, vec![metric("a", 1200.0)]);
+        assert!(!compare(&inf, &finite).passed(), "+inf against 1200");
+        assert!(compare(&inf, &inf.clone()).passed(), "+inf against +inf");
+        let neg_inf = record(true, vec![metric("a", f64::NEG_INFINITY)]);
+        assert!(!compare(&neg_inf, &inf).passed(), "-inf against +inf");
+    }
+
+    #[test]
+    fn infinite_ci_band_matches_only_an_identical_value() {
+        let golden = record(false, vec![metric_ci("a", 1.0, f64::INFINITY)]);
+        let other = record(false, vec![metric_ci("a", 1e6, 0.05)]);
+        assert!(!compare(&golden, &other).passed(), "infinite band");
+        let same = record(false, vec![metric_ci("a", 1.0, 0.05)]);
+        assert!(compare(&golden, &same).passed(), "identical value");
     }
 
     #[test]

@@ -9,10 +9,26 @@
 //! Worst-case runs consume millions of boxes, so by default the ledger only
 //! keeps aggregates; construct it with [`ProgressLedger::retaining`] to also
 //! keep the full per-box history for auditing or plotting.
+//!
+//! A run draws its boxes from a handful of sizes, so the ledger reads
+//! ρ(size) through a small direct-mapped memo, and the n-bounded potential
+//! of a box is either that same value (size ≤ n) or ρ(n), computed once.
 
 use crate::potential::Potential;
 use crate::report::AdaptivityReport;
-use crate::{Blocks, Io, Leaves};
+use crate::{cast, Blocks, Io, Leaves};
+
+/// Entries in a ledger's ρ memo. A prime, so that the slot `size mod 61`
+/// separates the powers of 2 up to 2^59 (2 has order 60 modulo 61): every
+/// box size of a recursion with b = 2 or 4 and base 1 or 2 keeps its own
+/// entry. The low six bits would send every power of 2 from 64 on to one
+/// slot, and the top six bits of a Fibonacci hash send 4 and 4^8 to one.
+const MEMO_LEN: usize = 61;
+
+/// Memo slot of a box size.
+fn memo_slot(size: Blocks) -> usize {
+    cast::usize_from_u64(size % cast::u64_from_usize(MEMO_LEN))
+}
 
 /// What one box achieved: its size, the progress (base cases at least partly
 /// completed) inside it, and the I/Os actually used (≤ size; the final box
@@ -32,6 +48,11 @@ pub struct BoxRecord {
 pub struct ProgressLedger {
     rho: Potential,
     n: Blocks,
+    /// ρ(n): the bounded potential of every box of size ≥ n.
+    rho_n: f64,
+    /// Direct-mapped `(size, ρ(size))` memo indexed by [`memo_slot`]. The
+    /// all-zero start is already right: ρ(0) = 0.
+    memo: [(Blocks, f64); MEMO_LEN],
     boxes_used: u64,
     bounded_potential_sum: f64,
     raw_potential_sum: f64,
@@ -50,6 +71,8 @@ impl ProgressLedger {
         ProgressLedger {
             rho,
             n,
+            rho_n: rho.eval(n),
+            memo: [(0, 0.0); MEMO_LEN],
             boxes_used: 0,
             bounded_potential_sum: 0.0,
             raw_potential_sum: 0.0,
@@ -69,11 +92,25 @@ impl ProgressLedger {
         ledger
     }
 
+    /// The n-bounded and raw potentials of one box of `size`: the values
+    /// of [`Potential::bounded`] and [`Potential::eval`], bit for bit.
+    fn potentials(&mut self, size: Blocks) -> (f64, f64) {
+        let entry = &mut self.memo[memo_slot(size)]; // cadapt-lint: allow(panic-reach) -- memo_slot reduces modulo MEMO_LEN, the memo's length
+        if entry.0 != size {
+            *entry = (size, self.rho.eval(size));
+        }
+        let raw = entry.1;
+        // bounded(n, x) = eval(min(n, x)).
+        let bounded = if size <= self.n { raw } else { self.rho_n };
+        (bounded, raw)
+    }
+
     /// Record one consumed box.
     pub fn record(&mut self, record: BoxRecord) {
         self.boxes_used += 1;
-        self.bounded_potential_sum += self.rho.bounded(self.n, record.size);
-        self.raw_potential_sum += self.rho.eval(record.size);
+        let (bounded, raw) = self.potentials(record.size);
+        self.bounded_potential_sum += bounded;
+        self.raw_potential_sum += raw;
         self.total_progress += record.progress;
         self.total_io += record.used;
         self.max_box = self.max_box.max(record.size);
@@ -109,8 +146,7 @@ impl ProgressLedger {
             return;
         }
         self.boxes_used += count;
-        let bounded = self.rho.bounded(self.n, size);
-        let raw = self.rho.eval(size);
+        let (bounded, raw) = self.potentials(size);
         for _ in 0..count {
             let next_bounded = self.bounded_potential_sum + bounded;
             let next_raw = self.raw_potential_sum + raw;
@@ -320,6 +356,14 @@ mod tests {
     }
 
     #[test]
+    fn memo_slots_separate_powers_of_two() {
+        let slots: Vec<usize> = (0..60).map(|k| memo_slot(1 << k)).collect();
+        for (k, slot) in slots.iter().enumerate() {
+            assert!(!slots[..k].contains(slot), "2^{k} shares a slot: {slots:?}");
+        }
+    }
+
+    #[test]
     fn empty_run_reports_zeroes() {
         let rho = Potential::new(8, 4);
         let report = ProgressLedger::new(rho, 16).finish();
@@ -327,5 +371,153 @@ mod tests {
         assert_eq!(report.max_box, 0);
         assert_eq!(report.min_box, 0);
         assert_eq!(report.bounded_potential_sum, 0.0);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The ledger without the memo: every box evaluates ρ through
+        /// `Potential::bounded` and `Potential::eval`.
+        struct MemoFree {
+            rho: Potential,
+            n: Blocks,
+            boxes_used: u64,
+            bounded_potential_sum: f64,
+            raw_potential_sum: f64,
+            total_progress: Leaves,
+            total_io: Io,
+            max_box: Blocks,
+            min_box: Blocks,
+        }
+
+        impl MemoFree {
+            fn new(rho: Potential, n: Blocks) -> Self {
+                MemoFree {
+                    rho,
+                    n,
+                    boxes_used: 0,
+                    bounded_potential_sum: 0.0,
+                    raw_potential_sum: 0.0,
+                    total_progress: 0,
+                    total_io: 0,
+                    max_box: 0,
+                    min_box: Blocks::MAX,
+                }
+            }
+
+            fn record(&mut self, record: BoxRecord) {
+                self.boxes_used += 1;
+                self.bounded_potential_sum += self.rho.bounded(self.n, record.size);
+                self.raw_potential_sum += self.rho.eval(record.size);
+                self.total_progress += record.progress;
+                self.total_io += record.used;
+                self.max_box = self.max_box.max(record.size);
+                self.min_box = self.min_box.min(record.size);
+            }
+
+            fn finish(self) -> AdaptivityReport {
+                let any = self.boxes_used > 0;
+                AdaptivityReport {
+                    a: self.rho.a(),
+                    b: self.rho.b(),
+                    exponent: self.rho.exponent(),
+                    n: self.n,
+                    boxes_used: self.boxes_used,
+                    bounded_potential_sum: self.bounded_potential_sum,
+                    raw_potential_sum: self.raw_potential_sum,
+                    required_progress: self.rho.required_progress(self.n),
+                    total_progress: self.total_progress,
+                    total_io: self.total_io,
+                    max_box: if any { self.max_box } else { 0 },
+                    min_box: if any { self.min_box } else { 0 },
+                }
+            }
+        }
+
+        const N: Blocks = 256;
+
+        /// Box sizes: 0 (the memo's initial key), powers of 4 to past n,
+        /// non-powers below and above n, and four sizes that share the
+        /// memo slot of 16 and so evict it and each other.
+        fn sizes() -> Vec<Blocks> {
+            let mut sizes = vec![
+                0, 1, 4, 16, 64, 256, 1024, 4096, 3, 17, 100, 257, 1000, 5000,
+            ];
+            let slot = memo_slot(16);
+            sizes.extend((17..).filter(|&s| memo_slot(s) == slot).take(4));
+            sizes
+        }
+
+        fn same_report(
+            want: &AdaptivityReport,
+            got: &AdaptivityReport,
+            how: &str,
+        ) -> Result<(), TestCaseError> {
+            prop_assert_eq!((got.a, got.b, got.n), (want.a, want.b, want.n), "{}", how);
+            prop_assert_eq!(got.exponent.to_bits(), want.exponent.to_bits(), "{}", how);
+            prop_assert_eq!(got.boxes_used, want.boxes_used, "{}", how);
+            prop_assert_eq!(
+                got.bounded_potential_sum.to_bits(),
+                want.bounded_potential_sum.to_bits(),
+                "{}: bounded sum",
+                how
+            );
+            prop_assert_eq!(
+                got.raw_potential_sum.to_bits(),
+                want.raw_potential_sum.to_bits(),
+                "{}: raw sum",
+                how
+            );
+            prop_assert_eq!(
+                got.required_progress.to_bits(),
+                want.required_progress.to_bits(),
+                "{}",
+                how
+            );
+            prop_assert_eq!(got.total_progress, want.total_progress, "{}", how);
+            prop_assert_eq!(got.total_io, want.total_io, "{}", how);
+            prop_assert_eq!(got.max_box, want.max_box, "{}", how);
+            prop_assert_eq!(got.min_box, want.min_box, "{}", how);
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// A stream of runs recorded through the memo, by run and box
+            /// by box, gives the memo-free per-box fold's report bit for bit.
+            #[test]
+            fn memoised_ledger_matches_memo_free_fold(
+                (a, b) in prop_oneof![Just((8u64, 4u64)), Just((7, 4)), Just((3, 2))],
+                stream in proptest::collection::vec((0usize..64, 1u64..40, 0u64..4, 0u64..64), 0..40),
+            ) {
+                let rho = Potential::new(a, b);
+                let sizes = sizes();
+                let mut memo_free = MemoFree::new(rho, N);
+                let mut by_run = ProgressLedger::new(rho, N);
+                let mut by_box = ProgressLedger::new(rho, N);
+                for (pick, count, progress, used) in stream {
+                    let record = BoxRecord {
+                        size: sizes[pick % sizes.len()],
+                        progress: Leaves::from(progress),
+                        used: Io::from(used),
+                    };
+                    for _ in 0..count {
+                        memo_free.record(record);
+                        by_box.record(record);
+                    }
+                    by_run.record_run(
+                        record.size,
+                        record.progress * Leaves::from(count),
+                        record.used * Io::from(count),
+                        count,
+                    );
+                }
+                let want = memo_free.finish();
+                same_report(&want, &by_run.finish(), "record_run")?;
+                same_report(&want, &by_box.finish(), "record")?;
+            }
+        }
     }
 }

@@ -6,7 +6,18 @@
 //! access, and every operation advances it using the
 //! [`ClosedForms`] tables, skipping whole subtrees in
 //! O(1) each. Worst-case executions at benchmark sizes have billions of
-//! accesses and millions of boxes; each box costs O(a · depth).
+//! accesses and millions of boxes.
+//!
+//! ## Costs
+//!
+//! Every frame carries the accesses and base cases its strict ancestors
+//! still owe after it, fixed when the frame is pushed, so the remainder of
+//! any enclosing subtree is an O(1) difference of two frames' prefixes and
+//! a chunk length is an O(1) difference of two suffix-table entries. A
+//! simplified-model box costs O(depth) (the fitting-level lookup and the
+//! re-descent after a jump). A capacity-model box costs O(depth) per jump
+//! or streaming step it takes: the jump search tests each stack frame's
+//! remainder once. Neither depends on n beyond the depth, log_b n.
 //!
 //! ## Node anatomy
 //!
@@ -39,16 +50,14 @@ struct Frame {
     slot: u64,
     /// Accesses completed within chunk `slot`.
     chunk_done: u64,
-}
-
-impl Frame {
-    fn fresh(k: u32) -> Frame {
-        Frame {
-            k,
-            slot: 0,
-            chunk_done: 0,
-        }
-    }
+    /// Accesses the strict ancestors still perform once this node
+    /// completes: over every ancestor, its chunks and children after the
+    /// one on this path. Set when the frame is pushed; it stays right
+    /// because only the bottom frame's slot ever moves.
+    owed_time: Io,
+    /// Base cases the strict ancestors still complete once this node
+    /// completes.
+    owed_leaves: Leaves,
 }
 
 /// What one box achieved against the cursor.
@@ -82,11 +91,25 @@ pub struct BatchOutcome {
 /// problem (the process-wide cache in [`crate::cache`] hands them out
 /// behind an [`Arc`] so per-trial cursor construction is two refcount
 /// bumps plus the initial descent, not a table rebuild).
+///
+/// The per-(level, slot) tables are flat arrays built in one pass, `width`
+/// = a + 2 entries per level: entry `k · width + s` belongs to slot s of a
+/// level-k node, and the entries past a level's last slot hold zero (the
+/// suffix-sum sentinel).
 #[derive(Debug)]
 struct DerivedTables {
-    /// Suffix sums of chunk lengths per level: `chunk_suffix[k][s]` =
-    /// Σ_{j ≥ s} chunk_len(k, j).
-    chunk_suffix: Vec<Vec<u64>>,
+    /// Entries per level in the flat tables.
+    width: usize,
+    /// Suffix sums of chunk lengths: Σ_{j ≥ s} chunk_len(k, j). A chunk's
+    /// length is the difference of two neighbouring entries.
+    chunk_suffix: Vec<u64>,
+    /// Accesses a level-k node still performs from the start of slot s:
+    /// the chunks from s on plus the children from s on,
+    /// `chunk_suffix + (children − s) · T(k − 1)`.
+    rest_time: Vec<Io>,
+    /// Base cases a level-k node still completes from the start of slot
+    /// s: `(children − s) · leaves(k − 1)`, and 1 for a base case.
+    rest_leaves: Vec<Leaves>,
     /// `descent[k]` = frames [`ExecCursor::normalize`] pushes when it
     /// enters a fresh level-k subtree (1 + the chain through empty leading
     /// chunks).
@@ -97,6 +120,83 @@ struct DerivedTables {
     /// completions in closed form. Always true for the `End`/`Start`
     /// layouts; false at `Split` levels with nonzero scans.
     mid_chunks_zero: Vec<bool>,
+}
+
+impl DerivedTables {
+    fn new(cf: &ClosedForms) -> Self {
+        let params = cf.params();
+        let a = params.a();
+        let width = cast::usize_from_u64(a) + 2;
+        let levels = cast::usize_from_u32(cf.depth()) + 1;
+        let mut chunk_suffix = vec![0u64; levels * width];
+        let mut rest_time: Vec<Io> = vec![0; levels * width];
+        let mut rest_leaves: Vec<Leaves> = vec![0; levels * width];
+        let mut descent = Vec::with_capacity(levels);
+        let mut mid_chunks_zero = Vec::with_capacity(levels);
+        // Level 0: one chunk of `base` accesses and no children.
+        chunk_suffix[0] = params.base();
+        rest_time[0] = Io::from(params.base());
+        rest_leaves[0] = 1;
+        descent.push(1u64);
+        mid_chunks_zero.push(false);
+        for k in 1..=cf.depth() {
+            let row = cast::usize_from_u32(k) * width;
+            let (child_time, child_leaves) = (cf.time(k - 1), cf.leaves(k - 1));
+            let scan = cf.scan(k);
+            let (mut suffix, mut mid_zero) = (0u64, true);
+            for s in (0..=a).rev() {
+                let chunk = params.split_scan(scan, s);
+                mid_zero &= chunk == 0 || s == 0 || s == a;
+                suffix += chunk;
+                // s <= a < width, so `at` stays inside level k's row.
+                let at = row + cast::usize_from_u64(s);
+                chunk_suffix[at] = suffix;
+                rest_time[at] = Io::from(suffix) + Io::from(a - s) * child_time;
+                rest_leaves[at] = Leaves::from(a - s) * child_leaves;
+            }
+            let through = if params.split_scan(scan, 0) == 0 {
+                descent[cast::usize_from_u32(k) - 1] // cadapt-lint: allow(panic-reach) -- k >= 1 here and descent holds one entry per level below k
+            } else {
+                0
+            };
+            descent.push(1 + through);
+            mid_chunks_zero.push(mid_zero);
+        }
+        DerivedTables {
+            width,
+            chunk_suffix,
+            rest_time,
+            rest_leaves,
+            descent,
+            mid_chunks_zero,
+        }
+    }
+
+    /// Flat index of slot `s` of a level-k node.
+    #[inline]
+    fn at(&self, k: u32, s: u64) -> usize {
+        cast::usize_from_u32(k) * self.width + cast::usize_from_u64(s)
+    }
+
+    /// Length of chunk `slot` of a level-k node.
+    #[inline]
+    fn chunk_len(&self, k: u32, slot: u64) -> u64 {
+        let at = self.at(k, slot);
+        // cadapt-lint: allow(panic-reach) -- frames keep k <= depth and slot <= a, so at + 1 < levels * width
+        self.chunk_suffix[at] - self.chunk_suffix[at + 1]
+    }
+
+    /// Accesses a level-k node still performs from the start of slot `s`.
+    #[inline]
+    fn rest_time(&self, k: u32, s: u64) -> Io {
+        self.rest_time[self.at(k, s)] // cadapt-lint: allow(panic-reach) -- frames keep k <= depth and slot <= a, within the table's levels * width entries
+    }
+
+    /// Base cases a level-k node still completes from the start of slot `s`.
+    #[inline]
+    fn rest_leaves(&self, k: u32, s: u64) -> Leaves {
+        self.rest_leaves[self.at(k, s)] // cadapt-lint: allow(panic-reach) -- frames keep k <= depth and slot <= a, within the table's levels * width entries
+    }
 }
 
 /// A lazy position inside an (a, b, c)-regular execution.
@@ -122,44 +222,18 @@ impl ExecCursor {
     /// trials over the same (params, n) skip the table construction.
     #[must_use]
     pub fn from_arc(cf: Arc<ClosedForms>) -> Self {
-        let params = *cf.params();
-        let mut chunk_suffix = Vec::with_capacity(cast::usize_from_u32(cf.depth()) + 1);
-        for k in 0..=cf.depth() {
-            let slots = Self::slots_at(&params, k);
-            let mut suffix = vec![0u64; cast::usize_from_u64(slots) + 1];
-            for s in (0..slots).rev() {
-                // cadapt-lint: allow(panic-reach) -- suffix has slots+1 entries, so s and s+1 are both in-bounds for s < slots
-                suffix[cast::usize_from_u64(s)] = suffix[cast::usize_from_u64(s) + 1]
-                    + Self::chunk_len_static(&params, &cf, k, s);
-            }
-            chunk_suffix.push(suffix);
-        }
-        let mut descent = vec![1u64];
-        for k in 1..=cf.depth() {
-            let through = if Self::chunk_len_static(&params, &cf, k, 0) == 0 {
-                descent[cast::usize_from_u32(k) - 1] // cadapt-lint: allow(panic-reach) -- k >= 1 here and descent holds one entry per level below k
-            } else {
-                0
-            };
-            descent.push(1 + through);
-        }
-        let mid_chunks_zero: Vec<bool> = (0..=cf.depth())
-            .map(|k| {
-                k >= 1 && {
-                    let suffix = &chunk_suffix[cast::usize_from_u32(k)]; // cadapt-lint: allow(panic-reach) -- chunk_suffix was filled for every k in 0..=depth above
-                    suffix[1] == suffix[cast::usize_from_u64(params.a())] // cadapt-lint: allow(panic-reach) -- for k >= 1 there are a >= 2 slots, so indices 1 and a are in-bounds
-                }
-            })
-            .collect();
-        let root = Frame::fresh(cf.depth());
+        let tables = Arc::new(DerivedTables::new(&cf));
+        let root = Frame {
+            k: cf.depth(),
+            slot: 0,
+            chunk_done: 0,
+            owed_time: 0,
+            owed_leaves: 0,
+        };
         let mut cursor = ExecCursor {
             cf,
             stack: vec![root],
-            tables: Arc::new(DerivedTables {
-                chunk_suffix,
-                descent,
-                mid_chunks_zero,
-            }),
+            tables,
         };
         cursor.normalize();
         cursor
@@ -181,16 +255,6 @@ impl ExecCursor {
         &self.cf
     }
 
-    /// Number of chunk slots at level k (a + 1 for internal, 1 for leaves).
-    #[inline]
-    fn slots_at(params: &AbcParams, k: u32) -> u64 {
-        if k == 0 {
-            1
-        } else {
-            params.a() + 1
-        }
-    }
-
     /// Number of children at level k (a for internal, 0 for leaves).
     #[inline]
     fn children_at(&self, k: u32) -> u64 {
@@ -202,18 +266,22 @@ impl ExecCursor {
     }
 
     #[inline]
-    fn chunk_len_static(params: &AbcParams, cf: &ClosedForms, k: u32, slot: u64) -> u64 {
-        if k == 0 {
-            // The base case is one run of `base` accesses.
-            params.base()
-        } else {
-            params.scan_chunk(cf.size(k), slot)
-        }
+    fn chunk_len(&self, k: u32, slot: u64) -> u64 {
+        self.tables.chunk_len(k, slot)
     }
 
+    /// The fresh frame of child `parent.slot` of `parent`: its ancestors
+    /// owe what `parent`'s own ancestors owe plus `parent`'s chunks and
+    /// children after this child.
     #[inline]
-    fn chunk_len(&self, k: u32, slot: u64) -> u64 {
-        Self::chunk_len_static(self.params(), &self.cf, k, slot)
+    fn child_of(&self, parent: &Frame) -> Frame {
+        Frame {
+            k: parent.k - 1,
+            slot: 0,
+            chunk_done: 0,
+            owed_time: parent.owed_time + self.tables.rest_time(parent.k, parent.slot + 1),
+            owed_leaves: parent.owed_leaves + self.tables.rest_leaves(parent.k, parent.slot + 1),
+        }
     }
 
     /// Has the root completed?
@@ -253,7 +321,7 @@ impl ExecCursor {
             if f.slot < self.children_at(f.k) {
                 // Chunk `slot` finished; enter child `slot`.
                 cadapt_core::counters::count_cursor_steps(1);
-                self.stack.push(Frame::fresh(f.k - 1));
+                self.stack.push(self.child_of(&f));
                 continue;
             }
             // Final chunk finished: node complete.
@@ -272,65 +340,26 @@ impl ExecCursor {
     }
 
     /// Serial accesses remaining from the current position to the end of
-    /// the subtree whose frame sits at `idx` in the stack (inclusive).
+    /// the subtree whose frame sits at `idx` in the stack (inclusive):
+    /// everything left but what the frame's strict ancestors owe after it.
     fn remaining_in_subtree(&self, idx: usize) -> Io {
-        let mut rem: Io = 0;
-        let bottom = self.stack.len() - 1;
-        for (i, f) in self.stack.iter().enumerate().skip(idx) {
-            let children = self.children_at(f.k);
-            if i == bottom {
-                // Rest of the current chunk, all later chunks, and all
-                // children not yet entered (indices ≥ slot).
-                let chunks = Io::from(
-                    self.tables.chunk_suffix[cast::usize_from_u32(f.k)] // cadapt-lint: allow(panic-reach) -- stack frames keep k <= depth, the table's index range
-                        [cast::usize_from_u64(f.slot)], // cadapt-lint: allow(panic-reach) -- frames keep slot <= slots_at(k) and the suffix row has slots+1 entries
-                ) - Io::from(f.chunk_done);
-                let kids =
-                    Io::from(children - f.slot) * if f.k > 0 { self.cf.time(f.k - 1) } else { 0 };
-                rem += chunks + kids;
-            } else {
-                // An ancestor: child `slot` is in progress (accounted
-                // deeper); count chunks after slot and children after slot.
-                let chunks = Io::from(
-                    self.tables.chunk_suffix[cast::usize_from_u32(f.k)] // cadapt-lint: allow(panic-reach) -- stack frames keep k <= depth, the table's index range
-                        [cast::usize_from_u64(f.slot) + 1], // cadapt-lint: allow(panic-reach) -- an ancestor frame has slot < slots_at(k), so slot+1 is within the slots+1-entry row
-                );
-                let kids = Io::from(children - f.slot - 1) * self.cf.time(f.k - 1);
-                rem += chunks + kids;
-            }
-        }
-        rem
+        self.remaining_time() - self.stack[idx].owed_time
     }
 
     /// Base cases remaining (not yet fully completed) in the subtree whose
     /// frame sits at `idx` (inclusive of a partially-done leaf).
     fn leaves_remaining_in_subtree(&self, idx: usize) -> Leaves {
-        let mut rem: Leaves = 0;
-        let bottom = self.stack.len() - 1;
-        for (i, f) in self.stack.iter().enumerate().skip(idx) {
-            let children = self.children_at(f.k);
-            if i == bottom {
-                if f.k == 0 {
-                    // The pending leaf itself.
-                    rem += 1;
-                } else {
-                    rem += Leaves::from(children - f.slot) * self.cf.leaves(f.k - 1);
-                }
-            } else {
-                rem += Leaves::from(children - f.slot - 1) * self.cf.leaves(f.k - 1);
-            }
-        }
-        rem
+        self.leaves_remaining() - self.stack[idx].owed_leaves
     }
 
-    /// Serial accesses remaining to complete the whole problem.
+    /// Serial accesses remaining to complete the whole problem: the bottom
+    /// frame's own remainder (rest of the current chunk, later chunks,
+    /// children not yet entered) plus what its ancestors owe after it.
     #[must_use]
     pub fn remaining_time(&self) -> Io {
-        if self.stack.is_empty() {
-            0
-        } else {
-            self.remaining_in_subtree(0)
-        }
+        self.stack.last().map_or(0, |f| {
+            self.tables.rest_time(f.k, f.slot) - Io::from(f.chunk_done) + f.owed_time
+        })
     }
 
     /// The serial index of the pending access (0 = start of execution,
@@ -341,14 +370,13 @@ impl ExecCursor {
         self.cf.total_time() - self.remaining_time()
     }
 
-    /// Base cases not yet completed in the whole problem.
+    /// Base cases not yet completed in the whole problem: the bottom
+    /// frame's own (a pending leaf counts) plus what its ancestors owe.
     #[must_use]
     pub fn leaves_remaining(&self) -> Leaves {
-        if self.stack.is_empty() {
-            0
-        } else {
-            self.leaves_remaining_in_subtree(0)
-        }
+        self.stack
+            .last()
+            .map_or(0, |f| self.tables.rest_leaves(f.k, f.slot) + f.owed_leaves)
     }
 
     /// Advance by `t` serial accesses (or to completion, whichever first).
@@ -390,7 +418,7 @@ impl ExecCursor {
                     cadapt_core::counters::count_cursor_steps(1);
                 } else {
                     cadapt_core::counters::count_cursor_steps(1);
-                    self.stack.push(Frame::fresh(f.k - 1));
+                    self.stack.push(self.child_of(&f));
                 }
                 continue;
             }
@@ -529,7 +557,7 @@ impl ExecCursor {
                 // The child was too large to complete whole: enter it and
                 // charge its pieces individually.
                 cadapt_core::counters::count_cursor_steps(1);
-                self.stack.push(Frame::fresh(f.k - 1));
+                self.stack.push(self.child_of(&f));
                 continue;
             }
             self.pop_and_advance_parent();
@@ -546,9 +574,11 @@ impl ExecCursor {
     /// within `left` budget, with its charge
     /// min(cost_factor · size, remaining accesses).
     fn jump_completable(&self, left: Io, cost_factor: u64) -> Option<(usize, Io)> {
+        let remaining = self.remaining_time();
         for (i, f) in self.stack.iter().enumerate() {
             let working_set = Io::from(self.cf.size(f.k)) * Io::from(cost_factor);
-            let charge = working_set.min(self.remaining_in_subtree(i));
+            // The subtree's remainder: what is left but its ancestors' debt.
+            let charge = working_set.min(remaining - f.owed_time);
             if charge <= left {
                 return Some((i, charge));
             }
@@ -679,7 +709,7 @@ impl ExecCursor {
     /// the budget is an exact multiple q of the charge of a *fresh* subtree
     /// at the completable level j*, each box completes q such siblings, and
     /// every enclosing ancestor stays too expensive to complete throughout
-    /// (`capacity_batch_step` checks all of this in O(depth²)).
+    /// (`capacity_batch_step` checks all of this in O(depth)).
     /// Positions outside the cycle — partial scans, leftover budgets,
     /// boundary crossings — fall back to the per-box method one box at a
     /// time, which is trivially equivalent.
@@ -1092,6 +1122,8 @@ mod tests {
             Accesses(u64),
             Simplified(u64),
             Capacity(u64),
+            SimplifiedRun(u64, u64),
+            CapacityRun(u64, u64),
         }
 
         fn any_op() -> impl Strategy<Value = Op> {
@@ -1099,15 +1131,82 @@ mod tests {
                 (1u64..200).prop_map(Op::Accesses),
                 (1u64..200).prop_map(Op::Simplified),
                 (1u64..200).prop_map(Op::Capacity),
+                (1u64..200, 1u64..12).prop_map(|(s, count)| Op::SimplifiedRun(s, count)),
+                (1u64..200, 1u64..12).prop_map(|(x, count)| Op::CapacityRun(x, count)),
             ]
+        }
+
+        /// Σ_{j ≥ s} of the chunk lengths of a level-k node, straight from
+        /// the parameters rather than the cursor's suffix table.
+        fn chunk_suffix(cf: &ClosedForms, k: u32, s: u64) -> u64 {
+            let params = cf.params();
+            if k == 0 {
+                return if s == 0 { params.base() } else { 0 };
+            }
+            (s..=params.a())
+                .map(|j| params.scan_chunk(cf.size(k), j))
+                .sum()
+        }
+
+        /// The subtree remainders (accesses, base cases) under the frame at
+        /// `idx`, summed frame by frame from `idx` to the bottom: the
+        /// O(depth) loop the per-frame prefixes replace.
+        fn remainders_by_walk(cursor: &ExecCursor, idx: usize) -> (Io, Leaves) {
+            let cf = cursor.closed_forms();
+            let bottom = cursor.stack.len() - 1;
+            let (mut time, mut leaves): (Io, Leaves) = (0, 0);
+            for (i, f) in cursor.stack.iter().enumerate().skip(idx) {
+                let children = cursor.children_at(f.k);
+                if i == bottom {
+                    // Rest of the current chunk, all later chunks, and all
+                    // children not yet entered (indices ≥ slot).
+                    time += Io::from(chunk_suffix(cf, f.k, f.slot)) - Io::from(f.chunk_done);
+                    if f.k == 0 {
+                        // The pending leaf itself.
+                        leaves += 1;
+                    } else {
+                        time += Io::from(children - f.slot) * cf.time(f.k - 1);
+                        leaves += Leaves::from(children - f.slot) * cf.leaves(f.k - 1);
+                    }
+                } else {
+                    // An ancestor: child `slot` is in progress (accounted
+                    // deeper); count chunks after slot and children after slot.
+                    time += Io::from(chunk_suffix(cf, f.k, f.slot + 1))
+                        + Io::from(children - f.slot - 1) * cf.time(f.k - 1);
+                    leaves += Leaves::from(children - f.slot - 1) * cf.leaves(f.k - 1);
+                }
+            }
+            (time, leaves)
+        }
+
+        /// At every stack index, the O(1) subtree remainders equal the
+        /// frame-by-frame walk.
+        fn check_remainders(cursor: &ExecCursor) -> Result<(), TestCaseError> {
+            for idx in 0..cursor.stack.len() {
+                let (time, leaves) = remainders_by_walk(cursor, idx);
+                prop_assert_eq!(
+                    cursor.remaining_in_subtree(idx),
+                    time,
+                    "accesses under frame {}",
+                    idx
+                );
+                prop_assert_eq!(
+                    cursor.leaves_remaining_in_subtree(idx),
+                    leaves,
+                    "base cases under frame {}",
+                    idx
+                );
+            }
+            Ok(())
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
-            /// Under any interleaving of the three advancement operations:
-            /// the serial position is monotone, position + remaining is
-            /// conserved, and leaves_remaining never increases.
+            /// Under any interleaving of the advancement operations, per
+            /// box and per run: the serial position is monotone, position +
+            /// remaining is conserved, leaves_remaining never increases, and
+            /// every subtree remainder matches a frame-by-frame walk.
             #[test]
             fn cursor_invariants_hold_under_mixed_ops(
                 params in any_params(),
@@ -1122,6 +1221,7 @@ mod tests {
                 let mut leaves_left = cursor.leaves_remaining();
                 prop_assert_eq!(pos, 0);
                 prop_assert_eq!(leaves_left, total_leaves);
+                check_remainders(&cursor)?;
                 for op in ops {
                     match op {
                         Op::Accesses(t) => {
@@ -1133,7 +1233,14 @@ mod tests {
                         Op::Capacity(x) => {
                             let _ = cursor.advance_box_capacity(x, 1);
                         }
+                        Op::SimplifiedRun(s, count) => {
+                            let _ = cursor.advance_boxes_simplified(s, count);
+                        }
+                        Op::CapacityRun(x, count) => {
+                            let _ = cursor.advance_boxes_capacity(x, 1, count);
+                        }
                     }
+                    check_remainders(&cursor)?;
                     let new_pos = cursor.serial_position();
                     let new_leaves = cursor.leaves_remaining();
                     prop_assert!(new_pos >= pos, "position went backwards");
@@ -1178,6 +1285,21 @@ mod tests {
                         prop_assert!(guard < 2_000_000, "did not terminate");
                     }
                     prop_assert_eq!(progress, cf.total_leaves());
+                }
+            }
+
+            /// The tabulated chunk lengths are the parameters' scan chunks.
+            #[test]
+            fn tabulated_chunks_match_scan_chunks(params in any_params()) {
+                let n = params.canonical_size(3);
+                let cursor = ExecCursor::new(ClosedForms::for_size(params, n).unwrap());
+                let cf = cursor.closed_forms();
+                for k in 0..=cf.depth() {
+                    let slots = if k == 0 { 1 } else { params.a() + 1 };
+                    for s in 0..slots {
+                        let direct = chunk_suffix(cf, k, s) - chunk_suffix(cf, k, s + 1);
+                        prop_assert_eq!(cursor.chunk_len(k, s), direct, "level {} slot {}", k, s);
+                    }
                 }
             }
 

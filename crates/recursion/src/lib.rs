@@ -12,9 +12,10 @@
 //! * [`ClosedForms`] — exact per-level leaf counts, scan lengths, and serial
 //!   times T(n) = a·T(n/b) + scan(n).
 //! * [`ExecCursor`] — a lazy cursor into the (enormous) execution: it
-//!   advances *per box* in O(a · depth) time using the closed forms — or a
-//!   whole *run* of equal boxes in closed form (bit-identical totals) —
-//!   never materialising the recursion tree.
+//!   advances *per box* in O(depth) per jump or scan step, reading every
+//!   subtree remainder in O(1) from per-frame prefixes — or a whole *run*
+//!   of equal boxes in closed form (bit-identical totals) — never
+//!   materialising the recursion tree.
 //! * [`ExecModel`] — the two box-consumption semantics: the paper's §4
 //!   *simplified caching model* (used by the theory) and a *block-capacity*
 //!   charging model (the faithful constant-factor generalisation).

@@ -214,8 +214,13 @@ impl AbcParams {
     /// (i < a) or after the last child (i = a).
     #[must_use]
     pub fn scan_chunk(&self, n: Blocks, slot: u64) -> u64 {
+        self.split_scan(self.scan_len(n), slot)
+    }
+
+    /// Slot `slot`'s share of a node scan of `total` accesses under the
+    /// layout: [`AbcParams::scan_chunk`] with the scan length given.
+    pub(crate) fn split_scan(&self, total: u64, slot: u64) -> u64 {
         debug_assert!(slot <= self.a);
-        let total = self.scan_len(n);
         match self.layout {
             ScanLayout::End => {
                 if slot == self.a {

@@ -194,6 +194,11 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| Error::new("truncated \\u escape"))?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would take a sign, as in `\u+041`.
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err(Error::new("bad \\u escape"));
+                            }
                             let code = u32::from_str_radix(
                                 std::str::from_utf8(hex)
                                     .map_err(|_| Error::new("bad \\u escape"))?,
@@ -225,20 +230,38 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Skip a run of ASCII digits, returning how many there were.
+    fn digits(&mut self) -> usize {
+        let from = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - from
+    }
+
+    /// A number as RFC 8259 spells it: an optional minus, an integer part
+    /// without leading zeros, then an optional fraction and exponent, each
+    /// with at least one digit. A float that overflows to ±∞ is refused,
+    /// as serde_json refuses it.
     fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
+        let invalid = |what: &str| Error::new(format!("{what} in number at byte {start}"));
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
+        let int_start = self.pos;
+        match self.digits() {
+            0 => return Err(invalid("no digit")),
+            1 => {}
+            _ if self.bytes[int_start] == b'0' => return Err(invalid("leading zero")),
+            _ => {}
         }
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(invalid("no digit after '.'"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -247,16 +270,20 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(invalid("no digit in exponent"));
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| Error::new("invalid number"))?;
         if is_float {
-            text.parse::<f64>()
-                .map(|f| Value::Number(Number::F(f)))
-                .map_err(|_| Error::new(format!("invalid number '{text}'")))
+            match text.parse::<f64>() {
+                Ok(f) if f.is_finite() => Ok(Value::Number(Number::F(f))),
+                Ok(_) => Err(Error::new(format!(
+                    "number out of range '{text}' at byte {start}"
+                ))),
+                Err(_) => Err(Error::new(format!("invalid number '{text}'"))),
+            }
         } else if text.starts_with('-') {
             text.parse::<i128>()
                 .map(|i| Value::Number(Number::I(i)))
@@ -300,6 +327,42 @@ mod tests {
         let objects = "{\"k\":".repeat(MAX_DEPTH) + "{}" + &"}".repeat(MAX_DEPTH);
         assert!(Value::parse_json(&objects).is_err());
         assert!(Value::parse_json(&"[".repeat(200_000)).is_err());
+        for bad in [
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "-1.e5",
+            "1e",
+            "1E+",
+            "-",
+            "-.5",
+            "1e400",
+            "-1e400",
+            r#""\u+041""#,
+            r#""\u00g1""#,
+            r#""\u041""#,
+        ] {
+            assert!(Value::parse_json(bad).is_err(), "{bad} parsed");
+        }
+        let err = Value::parse_json("[1e400]").unwrap_err();
+        assert!(err.0.contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn rfc_numbers_and_escapes_parse() {
+        for (text, rendered) in [
+            ("0", "0"),
+            ("-0", "0"),
+            ("0.5", "0.5"),
+            ("1e5", "100000.0"),
+            ("1E-5", "0.00001"),
+            ("-12.25e1", "-122.5"),
+            (r#""\u0041\u00e9""#, r#""Aé""#),
+        ] {
+            let v = Value::parse_json(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(v.render_compact(), rendered, "{text}");
+        }
     }
 
     #[test]
