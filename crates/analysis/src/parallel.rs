@@ -22,6 +22,11 @@
 //!   thread-locally and the totals are folded into the calling thread's
 //!   open [`Recording`] when the sweep finishes. Counter totals are
 //!   per-trial sums, so they too are independent of the schedule.
+//! * **One worker, no thread.** A sweep that resolves to one worker (one
+//!   requested thread, or a single trial) runs its trials in index order
+//!   on the calling thread, where they count straight into the caller's
+//!   [`Recording`]. Outcomes, counter totals and panic isolation are the
+//!   same as with a spawned worker.
 //! * **Panic isolation.** Every trial body runs under
 //!   [`std::panic::catch_unwind`]: a panicking trial is reported as a
 //!   typed [`TrialPanic`] carrying its trial index, the worker keeps its
@@ -144,6 +149,9 @@ type Haul<T, E> = (Vec<(u64, T)>, Vec<(u64, Outcome<E>)>);
 /// outcome)` — both sorted by trial index. With `fail_fast`, workers stop
 /// claiming new trials once any failure is observed (the already-claimed
 /// trials still finish), so an early error does not burn the whole sweep.
+///
+/// A one-worker sweep runs on the calling thread: it spawns nothing, and
+/// its trials count straight into the caller's open [`Recording`].
 fn run_engine<T, E, F>(trials: u64, threads: usize, fail_fast: bool, run: &F) -> Haul<T, E>
 where
     T: Send,
@@ -155,6 +163,13 @@ where
         .max(1);
     let next_trial = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
+    if threads == 1 {
+        // One worker claims the trials in index order, so its haul is
+        // already sorted and a fail-fast stop leaves the smallest failing
+        // index. No worker total is folded: that would count every trial
+        // a second time.
+        return claim_trials(trials, fail_fast, run, &next_trial, &stop);
+    }
     let shared_counters = SharedCounters::new();
     let hauls: Vec<Haul<T, E>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
@@ -164,39 +179,9 @@ where
             let counters = &shared_counters;
             handles.push(scope.spawn(move || {
                 let recording = Recording::start();
-                let mut done: Vec<(u64, T)> = Vec::new();
-                let mut failed: Vec<(u64, Outcome<E>)> = Vec::new();
-                loop {
-                    if fail_fast && stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let trial = next.fetch_add(1, Ordering::Relaxed);
-                    if trial >= trials {
-                        break;
-                    }
-                    // AssertUnwindSafe: the closure only reads `Sync` state
-                    // and the counters are atomics — a panicking trial
-                    // cannot leave either torn, and its own partial work is
-                    // discarded with the unwound stack.
-                    match catch_unwind(AssertUnwindSafe(|| run(trial))) {
-                        Ok(Ok(value)) => done.push((trial, value)),
-                        Ok(Err(e)) => {
-                            failed.push((trial, Outcome::Error(e)));
-                            if fail_fast {
-                                stop.store(true, Ordering::Relaxed);
-                            }
-                        }
-                        Err(payload) => {
-                            failed
-                                .push((trial, Outcome::Panicked(panic_message(payload.as_ref()))));
-                            if fail_fast {
-                                stop.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
+                let haul = claim_trials(trials, fail_fast, run, next, stop);
                 counters.add(&recording.finish());
-                (done, failed)
+                haul
             }));
         }
         handles
@@ -227,6 +212,49 @@ where
     }
     done.sort_unstable_by_key(|&(trial, _)| trial);
     failed.sort_unstable_by_key(|&(trial, _)| trial);
+    (done, failed)
+}
+
+/// One worker's loop: claim the next unclaimed trial until none is left
+/// (or, with `fail_fast`, until any worker has seen a failure), running
+/// each under [`catch_unwind`].
+fn claim_trials<T, E, F>(
+    trials: u64,
+    fail_fast: bool,
+    run: &F,
+    next: &AtomicU64,
+    stop: &AtomicBool,
+) -> Haul<T, E>
+where
+    F: Fn(u64) -> Result<T, E>,
+{
+    let mut done: Vec<(u64, T)> = Vec::new();
+    let mut failed: Vec<(u64, Outcome<E>)> = Vec::new();
+    loop {
+        if fail_fast && stop.load(Ordering::Relaxed) {
+            break;
+        }
+        let trial = next.fetch_add(1, Ordering::Relaxed);
+        if trial >= trials {
+            break;
+        }
+        // AssertUnwindSafe: the closure only reads `Sync` state and the
+        // counters are atomics or thread-local cells — a panicking trial
+        // cannot leave either torn, and its own partial work is discarded
+        // with the unwound stack.
+        let outcome = match catch_unwind(AssertUnwindSafe(|| run(trial))) {
+            Ok(Ok(value)) => {
+                done.push((trial, value));
+                continue;
+            }
+            Ok(Err(e)) => Outcome::Error(e),
+            Err(payload) => Outcome::Panicked(panic_message(payload.as_ref())),
+        };
+        failed.push((trial, outcome));
+        if fail_fast {
+            stop.store(true, Ordering::Relaxed);
+        }
+    }
     (done, failed)
 }
 
@@ -366,22 +394,38 @@ mod tests {
 
     #[test]
     fn worker_counters_fold_into_the_caller_recording() {
-        let rec = Recording::start();
-        let _ = run_trials(10, 4, |_| count_boxes(3));
-        let delta = rec.finish();
-        assert_eq!(delta.boxes_advanced, 30);
+        // One worker runs inline and counts straight into the caller's
+        // recording; every trial must still count exactly once.
+        for threads in [1, 2, 4] {
+            let rec = Recording::start();
+            let _ = run_trials(10, threads, |_| count_boxes(3));
+            let delta = rec.finish();
+            assert_eq!(delta.boxes_advanced, 30, "threads = {threads}");
+        }
     }
 
     #[test]
     fn error_with_smallest_trial_index_wins() {
         for threads in [1, 3, 8] {
-            let err = try_run_trials(64, threads, |t| if t % 10 == 7 { Err(t) } else { Ok(t) })
-                .unwrap_err();
+            let ran = AtomicU64::new(0);
+            let err = try_run_trials(64, threads, |t| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if t % 10 == 7 {
+                    Err(t)
+                } else {
+                    Ok(t)
+                }
+            })
+            .unwrap_err();
             assert_eq!(
                 err,
                 SweepError::Job { trial: 7, error: 7 },
                 "threads = {threads}"
             );
+            if threads == 1 {
+                // The one worker claims in order and stops at the failure.
+                assert_eq!(ran.load(Ordering::Relaxed), 8);
+            }
         }
     }
 
@@ -453,15 +497,29 @@ mod tests {
 
     #[test]
     fn counters_fold_even_when_a_trial_panics() {
-        let rec = Recording::start();
-        let results = run_trials_isolated(8, 2, |t| {
-            count_boxes(2);
-            assert!(t != 4, "injected");
-            t
-        });
-        // Every trial counted before its panic point; totals stay exact.
-        assert_eq!(rec.finish().boxes_advanced, 16);
-        assert_eq!(results.iter().filter(|r| r.is_err()).count(), 1);
+        for threads in [1, 2] {
+            let rec = Recording::start();
+            let results = run_trials_isolated(8, threads, |t| {
+                count_boxes(2);
+                assert!(t != 4, "injected");
+                t
+            });
+            // Every trial counted before its panic point; totals stay exact.
+            assert_eq!(rec.finish().boxes_advanced, 16, "threads = {threads}");
+            assert_eq!(results.iter().filter(|r| r.is_err()).count(), 1);
+        }
+    }
+
+    #[test]
+    fn one_worker_sweeps_run_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = |_| std::thread::current().id() == caller;
+        assert!(run_trials(6, 1, on_caller).into_iter().all(|same| same));
+        assert!(run_indexed(3, 1, |_| on_caller(0))
+            .into_iter()
+            .all(|same| same));
+        // A single trial resolves to one worker at any thread count.
+        assert_eq!(run_trials(1, 4, on_caller), vec![true]);
     }
 
     #[test]

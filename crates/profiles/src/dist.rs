@@ -19,26 +19,27 @@ use rand::distributions::{Distribution, Uniform};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 
-/// Upper bound on how far ahead an i.i.d. source samples when detecting a
-/// run of equal boxes. Bounds the latency of one `next_run` call and keeps
-/// degenerate distributions (a point mass samples equal forever) from
-/// looping; the consumer just sees the run split into cap-sized pieces.
+/// Upper bound on how far ahead a source that draws its boxes one by one
+/// (i.i.d. or size-perturbed) looks when detecting a run of equal boxes.
+/// Bounds the latency of one `next_run` call and keeps degenerate
+/// distributions (a point mass samples equal forever) from looping; the
+/// consumer just sees the run split into cap-sized pieces.
 const RUN_LOOKAHEAD_CAP: u64 = 65_536;
 
-/// Shared i.i.d. run detection: take the buffered draw (or make one), then
-/// keep sampling while the draws stay equal, buffering the first mismatch
-/// into `pending`. The RNG consumes draws in exactly the order per-box
-/// sampling would, so the concatenation of runs reproduces the per-box
-/// stream draw for draw.
-fn run_from_dist(
-    dist: &dyn BoxDist,
-    rng: &mut dyn RngCore,
+/// Shared run detection for sources whose boxes are drawn one by one:
+/// take the buffered box (or draw one), then keep drawing while the boxes
+/// stay equal, buffering the first mismatch into `pending`. `draw` is
+/// called in exactly the order per-box sampling would call it, so the
+/// concatenation of runs reproduces the per-box stream draw for draw; a
+/// source's `next_box` must hand out `pending` before drawing.
+pub(crate) fn run_with_lookahead(
     pending: &mut Option<Blocks>,
+    mut draw: impl FnMut() -> Blocks,
 ) -> BoxRun {
-    let size = pending.take().unwrap_or_else(|| dist.sample(rng));
+    let size = pending.take().unwrap_or_else(&mut draw);
     let mut repeat = 1u64;
     while repeat < RUN_LOOKAHEAD_CAP {
-        let next = dist.sample(rng);
+        let next = draw();
         if next != size {
             *pending = Some(next);
             break;
@@ -415,7 +416,8 @@ impl BoxDist for EmpiricalMultiset {
 pub struct DistSource<D, R> {
     dist: D,
     rng: R,
-    /// One-draw lookahead buffer for run detection (see [`run_from_dist`]).
+    /// One-draw lookahead buffer for run detection (see
+    /// [`run_with_lookahead`]).
     pending: Option<Blocks>,
 }
 
@@ -438,7 +440,7 @@ impl<D: BoxDist, R: RngCore> BoxSource for DistSource<D, R> {
     }
 
     fn next_run(&mut self) -> BoxRun {
-        run_from_dist(&self.dist, &mut self.rng, &mut self.pending)
+        run_with_lookahead(&mut self.pending, || self.dist.sample(&mut self.rng))
     }
 }
 
@@ -447,7 +449,8 @@ impl<D: BoxDist, R: RngCore> BoxSource for DistSource<D, R> {
 pub struct DynDistSource<'a, R> {
     dist: &'a dyn BoxDist,
     rng: R,
-    /// One-draw lookahead buffer for run detection (see [`run_from_dist`]).
+    /// One-draw lookahead buffer for run detection (see
+    /// [`run_with_lookahead`]).
     pending: Option<Blocks>,
 }
 
@@ -478,7 +481,7 @@ impl<R: RngCore> BoxSource for DynDistSource<'_, R> {
     }
 
     fn next_run(&mut self) -> BoxRun {
-        run_from_dist(self.dist, &mut self.rng, &mut self.pending)
+        run_with_lookahead(&mut self.pending, || self.dist.sample(&mut self.rng))
     }
 }
 

@@ -17,6 +17,7 @@
 //! and confirm the Θ(log_b n) growth persists, in contrast to the i.i.d.
 //! smoothing of [`dist`](crate::dist).
 
+use crate::dist::run_with_lookahead;
 use crate::worst_case::WorstCase;
 use cadapt_core::{Blocks, BoxRun, BoxSource, SquareProfile};
 use rand::{Rng, RngCore};
@@ -87,11 +88,15 @@ pub struct SizePerturbedSource<S, M, R> {
     inner: S,
     mult: M,
     rng: R,
+    /// One-box lookahead buffer for run detection (see
+    /// [`run_with_lookahead`]).
+    pending: Option<Blocks>,
 }
 
 impl<S, M, R> std::fmt::Debug for SizePerturbedSource<S, M, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SizePerturbedSource")
+            .field("pending", &self.pending)
             .finish_non_exhaustive()
     }
 }
@@ -99,30 +104,47 @@ impl<S, M, R> std::fmt::Debug for SizePerturbedSource<S, M, R> {
 impl<S: BoxSource, M: MultiplierDist, R: RngCore> SizePerturbedSource<S, M, R> {
     /// Perturb `inner`'s boxes with factors from `mult`.
     pub fn new(inner: S, mult: M, rng: R) -> Self {
-        SizePerturbedSource { inner, mult, rng }
+        SizePerturbedSource {
+            inner,
+            mult,
+            rng,
+            pending: None,
+        }
+    }
+}
+
+/// `base · factor` rounded to whole blocks, clamped to [1, u64::MAX]. A
+/// NaN product (a NaN factor, or 0 · ∞) fails both comparisons and clamps
+/// to one block like any product below one.
+// The f64→u64 cast is range-checked by the branches around it.
+#[allow(clippy::cast_possible_truncation)]
+fn perturb(base: Blocks, factor: f64) -> Blocks {
+    let scaled = (base as f64 * factor).round();
+    if scaled >= u64::MAX as f64 {
+        u64::MAX
+    } else if scaled >= 1.0 {
+        scaled as u64
+    } else {
+        1
     }
 }
 
 impl<S: BoxSource, M: MultiplierDist, R: RngCore> BoxSource for SizePerturbedSource<S, M, R> {
-    // The f64→u64 cast is range-checked by the branch around it.
-    #[allow(clippy::cast_possible_truncation)]
     fn next_box(&mut self) -> Blocks {
-        let base = self.inner.next_box();
-        let factor = self.mult.sample(&mut self.rng);
-        let scaled = (base as f64 * factor).round();
-        if scaled < 1.0 {
-            1
-        } else if scaled >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            scaled as u64
-        }
+        self.pending
+            .take()
+            .unwrap_or_else(|| perturb(self.inner.next_box(), self.mult.sample(&mut self.rng)))
     }
 
-    // next_run: default single-box runs. Every box gets an independent
-    // multiplier draw, so consecutive perturbed boxes are almost never
-    // equal and batching the inner source would skip RNG draws the per-box
-    // stream makes.
+    // Every box gets its own multiplier draw, yet neighbours still come
+    // out equal often: at t = 2 a unit leaf becomes 1 with probability ¾
+    // and 2 with probability ¼, so adjacent leaves agree 62.5% of the
+    // time. The lookahead draws box by box in `next_box`'s order.
+    fn next_run(&mut self) -> BoxRun {
+        run_with_lookahead(&mut self.pending, || {
+            perturb(self.inner.next_box(), self.mult.sample(&mut self.rng))
+        })
+    }
 }
 
 /// Start-time perturbation: rotate a finite profile to a uniformly random
@@ -334,6 +356,7 @@ mod tests {
     use super::*;
     use cadapt_core::profile::ConstantSource;
     use cadapt_core::Potential;
+    use cadapt_recursion::{run_on_profile, AbcParams, RunConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -381,6 +404,38 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(s.next_box(), 1);
         }
+    }
+
+    #[test]
+    fn nan_multiplier_clamps_to_one_block_and_the_run_completes() {
+        struct NotANumber;
+        impl MultiplierDist for NotANumber {
+            fn sample(&self, _rng: &mut dyn RngCore) -> f64 {
+                f64::NAN
+            }
+            fn label(&self) -> String {
+                "nan".into()
+            }
+        }
+        let mut s = SizePerturbedSource::new(ConstantSource::new(4), NotANumber, rng());
+        assert_eq!(s.next_box(), 1);
+        assert_eq!(s.next_run().size, 1);
+        let config = RunConfig::default();
+        let params = AbcParams::mm_scan();
+        let mut perturbed = SizePerturbedSource::new(ConstantSource::new(4), NotANumber, rng());
+        let report = run_on_profile(params, 64, &mut perturbed, &config).expect("run completes");
+        let ones = run_on_profile(params, 64, &mut ConstantSource::new(1), &config)
+            .expect("run completes");
+        assert_eq!(report.boxes_used, ones.boxes_used);
+    }
+
+    #[test]
+    fn perturbed_sizes_saturate_at_both_ends() {
+        assert_eq!(perturb(3, f64::INFINITY), u64::MAX);
+        assert_eq!(perturb(u64::MAX, 2.0), u64::MAX);
+        assert_eq!(perturb(0, f64::INFINITY), 1); // 0 · ∞ is NaN
+        assert_eq!(perturb(3, -1.0), 1);
+        assert_eq!(perturb(3, 0.5), 2); // 1.5 rounds half away from zero
     }
 
     #[test]

@@ -16,12 +16,14 @@
 #![allow(clippy::cast_possible_truncation)]
 
 use cadapt_core::cursor::{RunCursor, RunCursorExt};
-use cadapt_core::profile::ConstantSource;
+use cadapt_core::profile::{ConstantSource, CycleSource};
 use cadapt_core::{Blocks, BoxSource, SquareProfile};
 use cadapt_profiles::dist::{
     DistSource, LogUniform, PermutationSource, PointMass, PowerOfB, UniformBoxes,
 };
-use cadapt_profiles::perturb::{SizePerturbedSource, UniformMultiplier};
+use cadapt_profiles::perturb::{
+    ConstantFactorJiggle, MultiplierDist, SizePerturbedSource, UniformMultiplier,
+};
 use cadapt_profiles::scenario::RoundRobin;
 use cadapt_profiles::{MatchedWorstCase, WorstCase};
 use cadapt_recursion::AbcParams;
@@ -62,6 +64,30 @@ fn expand_cursor<C: RunCursor>(cursor: &mut C, count: usize) -> Vec<Blocks> {
 /// Per-box reference stream.
 fn expand_boxes<S: BoxSource>(source: &mut S, count: usize) -> Vec<Blocks> {
     (0..count).map(|_| source.next_box()).collect()
+}
+
+/// `p`'s boxes, cycled and perturbed by `mult` from a seeded stream.
+fn perturbed<M: MultiplierDist>(
+    p: &SquareProfile,
+    mult: M,
+    seed: u64,
+) -> SizePerturbedSource<CycleSource<'_>, M, ChaCha8Rng> {
+    SizePerturbedSource::new(p.cycle(), mult, ChaCha8Rng::seed_from_u64(seed))
+}
+
+#[test]
+fn size_perturbed_unit_boxes_form_runs() {
+    // At t = 2 a unit box becomes 1 with probability 3/4 and 2 with
+    // probability 1/4, so neighbours agree 62.5% of the time.
+    let unit = SquareProfile::new(vec![1]).unwrap();
+    let mut source = perturbed(&unit, UniformMultiplier { t: 2.0 }, 1);
+    let runs: Vec<_> = (0..1000).map(|_| source.next_run()).collect();
+    let multi = runs.iter().filter(|r| r.repeat > 1).count();
+    assert!(
+        multi > 300,
+        "only {multi} of 1000 runs hold more than one box"
+    );
+    assert!(runs.iter().all(|r| r.size == 1 || r.size == 2));
 }
 
 proptest! {
@@ -163,27 +189,54 @@ proptest! {
     fn size_perturbed_source_decomposes(
         boxes in proptest::collection::vec(1u64..64, 1..16),
         t in 1.0f64..4.0,
+        jiggle in proptest::bool::ANY,
         seed in 0u64..1_000_000,
         count in 1usize..100,
     ) {
+        // The one-box lookahead draws the inner box and its multiplier in
+        // per-box order, so seeded twins agree box for box.
         let p = SquareProfile::new(boxes).unwrap();
-        let by_run = expand_runs(
-            &mut SizePerturbedSource::new(
-                p.cycle(),
-                UniformMultiplier { t },
-                ChaCha8Rng::seed_from_u64(seed),
-            ),
-            count,
-        );
-        let by_box = expand_boxes(
-            &mut SizePerturbedSource::new(
-                p.cycle(),
-                UniformMultiplier { t },
-                ChaCha8Rng::seed_from_u64(seed),
-            ),
-            count,
-        );
+        let (by_run, by_box) = if jiggle {
+            let mult = ConstantFactorJiggle { s: t };
+            (
+                expand_runs(&mut perturbed(&p, mult, seed), count),
+                expand_boxes(&mut perturbed(&p, mult, seed), count),
+            )
+        } else {
+            let mult = UniformMultiplier { t };
+            (
+                expand_runs(&mut perturbed(&p, mult, seed), count),
+                expand_boxes(&mut perturbed(&p, mult, seed), count),
+            )
+        };
         prop_assert_eq!(by_run, by_box);
+    }
+
+    #[test]
+    fn size_perturbed_mixed_run_and_box_calls_preserve_stream(
+        boxes in proptest::collection::vec(1u64..8, 1..16),
+        t in 1.0f64..4.0,
+        seed in 0u64..1_000_000,
+        calls in proptest::collection::vec(proptest::bool::ANY, 1..60),
+    ) {
+        // Interleaved next_run / next_box: next_box must hand out the box
+        // the lookahead buffered before drawing a new one.
+        let p = SquareProfile::new(boxes).unwrap();
+        let mult = UniformMultiplier { t };
+        let mut mixed = perturbed(&p, mult, seed);
+        let mut expanded = Vec::new();
+        for run_call in calls {
+            if run_call {
+                let run = mixed.next_run();
+                prop_assert!(run.repeat >= 1 && run.size >= 1, "bad run {:?}", run);
+                let take = usize::try_from(run.repeat).unwrap();
+                expanded.extend(std::iter::repeat_n(run.size, take));
+            } else {
+                expanded.push(mixed.next_box());
+            }
+        }
+        let reference = expand_boxes(&mut perturbed(&p, mult, seed), expanded.len());
+        prop_assert_eq!(expanded, reference);
     }
 
     #[test]

@@ -86,6 +86,17 @@ pub struct BatchOutcome {
     pub done: bool,
 }
 
+/// What the capacity model's batch check found at the current position.
+#[derive(Debug)]
+enum CapacityStep {
+    /// The steady cycle applies: `m` boxes, each completing `q` fresh
+    /// subtrees at level `jstar`.
+    Batch { m: u64, q: u64, jstar: u32 },
+    /// Advance one box per box. `first_jump` is the box's first jump
+    /// search, which the check has already made.
+    PerBox { first_jump: Option<(usize, Io)> },
+}
+
 /// Tables derived from the [`ClosedForms`] at cursor construction — pure
 /// functions of (params, n), shared between every cursor over the same
 /// problem (the process-wide cache in [`crate::cache`] hands them out
@@ -519,11 +530,28 @@ impl ExecCursor {
     /// exercised by the model-ablation experiment.
     pub fn advance_box_capacity(&mut self, x: Blocks, cost_factor: u64) -> BoxOutcome {
         assert!(cost_factor >= 1, "cost factor must be at least 1");
+        let first_jump = self.jump_completable(Io::from(x), cost_factor);
+        self.capacity_box(x, cost_factor, first_jump)
+    }
+
+    /// [`ExecCursor::advance_box_capacity`] with the box's first jump
+    /// search already made: `first_jump` is
+    /// `jump_completable(x, cost_factor)` from the current position.
+    fn capacity_box(
+        &mut self,
+        x: Blocks,
+        cost_factor: u64,
+        first_jump: Option<(usize, Io)>,
+    ) -> BoxOutcome {
         let budget = Io::from(x);
         let mut left = budget;
         let mut progress: Leaves = 0;
+        let mut first_jump = Some(first_jump);
         while left > 0 && !self.stack.is_empty() {
-            if let Some((idx, charge)) = self.jump_completable(left, cost_factor) {
+            let jump = first_jump
+                .take()
+                .unwrap_or_else(|| self.jump_completable(left, cost_factor));
+            if let Some((idx, charge)) = jump {
                 left -= charge;
                 progress += self.leaves_remaining_in_subtree(idx);
                 cadapt_core::counters::count_cursor_steps(cast::u64_from_usize(
@@ -728,31 +756,32 @@ impl ExecCursor {
             done: self.is_done(),
         };
         while out.consumed < count && !self.stack.is_empty() {
-            if let Some((m, q, jstar)) =
-                self.capacity_batch_step(budget, cost_factor, count - out.consumed)
-            {
-                let istar = cast::usize_from_u32(self.cf.depth() - jstar);
-                let d = self.tables.descent[cast::usize_from_u32(jstar)]; // cadapt-lint: allow(panic-reach) -- jstar is a frame level <= depth and descent has depth+1 entries
-                out.progress += Leaves::from(m) * Leaves::from(q) * self.cf.leaves(jstar);
-                out.used += Io::from(m) * budget;
-                out.consumed += m;
-                // m·q jumps of d pops each, and d pushes for every inline
-                // re-descent except the last (reproduced by the real
-                // normalize below).
-                cadapt_core::counters::count_cursor_steps((2 * m * q - 1) * d);
-                self.stack.truncate(istar);
-                // cadapt-lint: allow(panic-reach) -- invariant: istar >= 1, so the stack still holds the parent frame
-                let p = self.stack.last_mut().expect("istar >= 1");
-                p.slot += m * q;
-                p.chunk_done = 0;
-                self.normalize();
-            } else {
-                let o = self.advance_box_capacity(x, cost_factor);
-                out.used += o.used;
-                out.progress += o.progress;
-                out.consumed += 1;
-                if o.done {
-                    break;
+            match self.capacity_batch_step(budget, cost_factor, count - out.consumed) {
+                CapacityStep::Batch { m, q, jstar } => {
+                    let istar = cast::usize_from_u32(self.cf.depth() - jstar);
+                    let d = self.tables.descent[cast::usize_from_u32(jstar)]; // cadapt-lint: allow(panic-reach) -- jstar is a frame level <= depth and descent has depth+1 entries
+                    out.progress += Leaves::from(m) * Leaves::from(q) * self.cf.leaves(jstar);
+                    out.used += Io::from(m) * budget;
+                    out.consumed += m;
+                    // m·q jumps of d pops each, and d pushes for every inline
+                    // re-descent except the last (reproduced by the real
+                    // normalize below).
+                    cadapt_core::counters::count_cursor_steps((2 * m * q - 1) * d);
+                    self.stack.truncate(istar);
+                    // cadapt-lint: allow(panic-reach) -- invariant: istar >= 1, so the stack still holds the parent frame
+                    let p = self.stack.last_mut().expect("istar >= 1");
+                    p.slot += m * q;
+                    p.chunk_done = 0;
+                    self.normalize();
+                }
+                CapacityStep::PerBox { first_jump } => {
+                    let o = self.capacity_box(x, cost_factor, first_jump);
+                    out.used += o.used;
+                    out.progress += o.progress;
+                    out.consumed += 1;
+                    if o.done {
+                        break;
+                    }
                 }
             }
         }
@@ -761,21 +790,21 @@ impl ExecCursor {
     }
 
     /// Does the capacity-model steady cycle apply from the current
-    /// position? Returns (boxes to batch, subtree completions per box,
-    /// completed level); `None` sends the caller to the per-box fallback.
-    fn capacity_batch_step(
-        &self,
-        budget: Io,
-        cost_factor: u64,
-        max_boxes: u64,
-    ) -> Option<(u64, u64, u32)> {
+    /// position? [`CapacityStep::PerBox`] sends the caller to the per-box
+    /// fallback with the jump search this check already made.
+    fn capacity_batch_step(&self, budget: Io, cost_factor: u64, max_boxes: u64) -> CapacityStep {
         if budget == 0 {
-            return None;
+            // A zero budget takes no jump: the per-box step does nothing.
+            return CapacityStep::PerBox { first_jump: None };
         }
         // The jump a per-box step would take with the full budget.
-        let (istar, charge) = self.jump_completable(budget, cost_factor)?;
+        let first_jump = self.jump_completable(budget, cost_factor);
+        let fallback = CapacityStep::PerBox { first_jump };
+        let Some((istar, charge)) = first_jump else {
+            return fallback;
+        };
         if istar == 0 {
-            return None; // completes the root: per-box handles termination
+            return fallback; // completes the root: per-box handles termination
         }
         // The suffix below the jump must be an untouched descent chain, so
         // each completion is of a brand-new subtree with remainder T(j*)
@@ -784,21 +813,21 @@ impl ExecCursor {
             .iter()
             .all(|f| f.slot == 0 && f.chunk_done == 0)
         {
-            return None;
+            return fallback;
         }
         let jstar = self.stack[istar].k;
         if !budget.is_multiple_of(charge) {
-            return None; // leftover budget would start partial work
+            return fallback; // leftover budget would start partial work
         }
         let q = cast::u64_from_u128(budget / charge);
-        let parent = self.stack[istar - 1]; // cadapt-lint: allow(panic-reach) -- istar >= 1 (the istar == 0 case returned None above) and istar < stack.len()
+        let parent = self.stack[istar - 1]; // cadapt-lint: allow(panic-reach) -- istar >= 1 (the istar == 0 case returned above) and istar < stack.len()
                                             // cadapt-lint: allow(panic-reach) -- frame levels stay <= depth, the table's index range
         if !self.tables.mid_chunks_zero[cast::usize_from_u32(parent.k)] {
-            return None; // sibling completions separated by scan chunks
+            return fallback; // sibling completions separated by scan chunks
         }
         let siblings_left = self.params().a() - parent.slot;
         if q > siblings_left {
-            return None; // one box would cross the parent boundary
+            return fallback; // one box would cross the parent boundary
         }
         // Ancestor stability: at every jump decision the parent's
         // completion charge min(γ·size, remaining) must stay above the
@@ -810,12 +839,16 @@ impl ExecCursor {
         let rem_parent = self.remaining_in_subtree(istar - 1);
         let needed = budget + Io::from(q - 1) * (time_j - charge);
         if rem_parent <= needed {
-            return None;
+            return fallback;
         }
         let slack = rem_parent - needed;
         let per_box = Io::from(q) * time_j;
         let m_bound = u64::try_from(1 + (slack - 1) / per_box).unwrap_or(u64::MAX);
-        Some(((siblings_left / q).min(max_boxes).min(m_bound), q, jstar))
+        CapacityStep::Batch {
+            m: (siblings_left / q).min(max_boxes).min(m_bound),
+            q,
+            jstar,
+        }
     }
 
     /// A compact fingerprint of the cursor position (for equality checks in
