@@ -11,13 +11,13 @@
 //!   Eq. 3 then predicts the expected adaptivity ratio as f(n) · m_n / n^e.
 //! * [`parallel`] — the deterministic parallel execution engine: a
 //!   work-stealing trial/job fan-out whose trial-ordered reduction makes
-//!   every result bit-identical at any thread count, with per-trial panic
-//!   isolation (a poisoned trial is a typed failure, not a dead pool).
-//! * [`checkpoint`] — completed-trial span bookkeeping for crash-safe
-//!   resume: because trial RNG streams are index-keyed, re-running only
-//!   the missing trials reproduces the uninterrupted run bit-for-bit.
-//! * [`montecarlo`] — deterministic trial driver (on top of [`parallel`])
-//!   estimating the same quantities empirically.
+//!   every result bit-identical at any thread count, with one fail-fast
+//!   sweep that isolates panics per trial (a poisoned trial is a typed
+//!   failure with its index, not a dead pool).
+//! * [`montecarlo`] — the one Monte-Carlo ratio estimator
+//!   ([`monte_carlo_ratio`], on top of [`parallel`]): every experiment
+//!   that averages adaptivity ratios over random profiles calls it with a
+//!   source factory, estimating the same quantities empirically.
 //! * [`fit`] — growth-law classification for ratio-vs-log n sweeps: is the
 //!   adaptivity ratio Θ(1) (cache-adaptive) or Θ(log_b n) (the gap)?
 //! * [`table`] — plain-text / JSON experiment tables shared by the harness
@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod fit;
 pub mod montecarlo;
 pub mod parallel;
@@ -34,14 +33,10 @@ pub mod recurrence;
 pub mod stats;
 pub mod table;
 
-pub use checkpoint::{run_missing_trials, TrialSpans};
 pub use fit::{classify_growth, GrowthClass, LineFit};
-pub use montecarlo::{
-    monte_carlo_ratio, monte_carlo_ratio_cancellable, McConfig, McError, McSummary,
-};
+pub use montecarlo::{monte_carlo_ratio, McConfig, McError, McSummary};
 pub use parallel::{
-    resolve_threads, run_indexed, run_trials, run_trials_isolated, try_run_trials, SweepError,
-    TrialPanic,
+    resolve_threads, run_indexed, run_trials, try_run_trials, SweepError, TrialPanic,
 };
 pub use recurrence::{
     equation6_checks, equation7_checks, equation8_products, DiscreteSigma, Equation6Check,

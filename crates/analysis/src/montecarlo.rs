@@ -16,7 +16,7 @@
 use crate::parallel::{try_run_trials, SweepError, TrialPanic};
 use crate::stats::Stats;
 use cadapt_core::counters::{CounterSnapshot, Recording};
-use cadapt_core::{Blocks, BoxSource, CancelToken, RunCursorExt};
+use cadapt_core::{Blocks, BoxSource};
 use cadapt_recursion::{run_cursor_on_profile, AbcParams, RunConfig, RunError};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
@@ -115,6 +115,11 @@ pub use crate::parallel::trial_rng;
 /// independent executions of `params` on problems of size `n`, drawing each
 /// trial's profile from `make_source(trial_rng)`.
 ///
+/// This is the one ratio-over-trials estimator: every experiment that
+/// averages adaptivity ratios over random profiles passes its source
+/// factory here. The factory may borrow shared state (a memoised profile
+/// every trial cycles over) or build an owned source per trial.
+///
 /// ```
 /// use cadapt_analysis::{monte_carlo_ratio, McConfig};
 /// use cadapt_profiles::dist::{DistSource, PowerOfB};
@@ -146,49 +151,6 @@ where
     S: BoxSource,
     F: Fn(ChaCha8Rng) -> S + Sync,
 {
-    mc_drive(params, n, config, None, make_source)
-}
-
-/// As [`monte_carlo_ratio`], but every trial's pipeline observes `token`
-/// between runs: cancelling it from another thread stops all in-flight
-/// trials cooperatively and surfaces the smallest-index trial's
-/// [`RunError::Cancelled`].
-///
-/// # Errors
-///
-/// As [`monte_carlo_ratio`], plus [`McError::Run`] wrapping
-/// [`RunError::Cancelled`] once `token` fires.
-pub fn monte_carlo_ratio_cancellable<S, F>(
-    params: AbcParams,
-    n: Blocks,
-    config: &McConfig,
-    token: &CancelToken,
-    make_source: F,
-) -> Result<McSummary, McError>
-where
-    S: BoxSource,
-    F: Fn(ChaCha8Rng) -> S + Sync,
-{
-    mc_drive(params, n, config, Some(token), make_source)
-}
-
-/// The single Monte-Carlo driver: fan trials out over the engine, drive
-/// each through the shared cursor loop
-/// ([`run_cursor_on_profile`]), reduce in trial order. The historical
-/// per-source draining loop this module once carried is gone — profiles
-/// stream through `SourceCursor` pipelines with O(1) resident state.
-fn mc_drive<S, F>(
-    params: AbcParams,
-    n: Blocks,
-    config: &McConfig,
-    token: Option<&CancelToken>,
-    make_source: F,
-) -> Result<McSummary, McError>
-where
-    S: BoxSource,
-    F: Fn(ChaCha8Rng) -> S + Sync,
-{
-    let make_source = &make_source;
     // The engine hands outcomes back in trial order, so the f64 Welford
     // update sequence below — and hence every summary bit — is independent
     // of which worker ran which trial. The engine also folds the workers'
@@ -197,18 +159,8 @@ where
     // (outer recordings keep counting through it).
     let recording = Recording::start();
     let outcomes = try_run_trials(config.trials, config.threads, |trial| {
-        let source = make_source(trial_rng(config.seed, trial));
-        let report = match token {
-            Some(t) => {
-                let mut pipeline = source.into_cursor().cancellable(t.clone());
-                run_cursor_on_profile(params, n, &mut pipeline, &config.run)
-            }
-            None => {
-                let mut pipeline = source.into_cursor();
-                run_cursor_on_profile(params, n, &mut pipeline, &config.run)
-            }
-        };
-        report.map(|report| {
+        let mut pipeline = make_source(trial_rng(config.seed, trial)).into_cursor();
+        run_cursor_on_profile(params, n, &mut pipeline, &config.run).map(|report| {
             (
                 report.ratio(),
                 report.boxes_used as f64,
@@ -337,82 +289,6 @@ mod tests {
             (lhs - rhs).abs() < tolerance,
             "Wald identity violated: {lhs} vs {rhs} (tolerance {tolerance})"
         );
-    }
-
-    #[test]
-    fn pre_cancelled_token_stops_every_trial() {
-        let params = AbcParams::mm_scan();
-        let config = McConfig {
-            trials: 4,
-            ..McConfig::default()
-        };
-        let token = CancelToken::new();
-        token.cancel();
-        let err = monte_carlo_ratio_cancellable(params, 256, &config, &token, |rng| {
-            DistSource::new(PowerOfB::new(4, 0, 5), rng)
-        })
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            McError::Run {
-                trial: 0,
-                error: RunError::Cancelled { after_boxes: 0 }
-            }
-        ));
-    }
-
-    #[test]
-    fn cancellation_from_another_thread_propagates_mid_pipeline() {
-        // Tiny boxes on a big problem: millions of runs, so cancellation
-        // from the watcher thread lands mid-pipeline (and if it somehow
-        // did not, the box budget below would fail the test instead).
-        let params = AbcParams::mm_scan();
-        let config = McConfig {
-            trials: 2,
-            threads: 1,
-            run: RunConfig {
-                max_boxes: u64::MAX,
-                ..RunConfig::default()
-            },
-            ..McConfig::default()
-        };
-        let token = CancelToken::new();
-        let watcher = token.clone();
-        let handle = std::thread::spawn(move || watcher.cancel());
-        let result = monte_carlo_ratio_cancellable(params, 1 << 24, &config, &token, |rng| {
-            DistSource::new(PointMass { size: 1 }, rng)
-        });
-        handle.join().unwrap();
-        match result {
-            Err(McError::Run {
-                error: RunError::Cancelled { .. },
-                ..
-            }) => {}
-            other => panic!("expected a typed cancellation, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn uncancelled_token_changes_nothing() {
-        let params = AbcParams::mm_scan();
-        let config = McConfig {
-            trials: 8,
-            seed: 42,
-            ..McConfig::default()
-        };
-        let plain = monte_carlo_ratio(params, 256, &config, |rng| {
-            DistSource::new(PowerOfB::new(4, 0, 5), rng)
-        })
-        .unwrap();
-        let token = CancelToken::new();
-        let tokened = monte_carlo_ratio_cancellable(params, 256, &config, &token, |rng| {
-            DistSource::new(PowerOfB::new(4, 0, 5), rng)
-        })
-        .unwrap();
-        // The cancellable wrapper only adds a between-runs flag check:
-        // results are bit-identical.
-        assert_eq!(plain.ratio.mean.to_bits(), tokened.ratio.mean.to_bits());
-        assert_eq!(plain.counters, tokened.counters);
     }
 
     #[test]

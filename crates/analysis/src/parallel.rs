@@ -1,9 +1,9 @@
 //! The deterministic parallel execution engine.
 //!
 //! Every multi-threaded code path in the workspace funnels through this
-//! module — the Monte-Carlo driver, the six converted trial-sweep
-//! experiments, and `cadapt-bench`'s experiment-level sharding. The
-//! determinism contract, stated once and enforced here:
+//! module — the Monte-Carlo driver (every ratio-over-trials estimate), the
+//! trial sweeps of E11 and E13, and `cadapt-bench`'s experiment-level
+//! sharding. The determinism contract, stated once and enforced here:
 //!
 //! * **Work-stealing dispatch, trial-ordered reduction.** Workers claim
 //!   the next unclaimed index from a shared atomic counter (a straggler
@@ -27,16 +27,18 @@
 //!   on the calling thread, where they count straight into the caller's
 //!   [`Recording`]. Outcomes, counter totals and panic isolation are the
 //!   same as with a spawned worker.
-//! * **Panic isolation.** Every trial body runs under
+//! * **Panic isolation, fail-fast.** Every trial body runs under
 //!   [`std::panic::catch_unwind`]: a panicking trial is reported as a
-//!   typed [`TrialPanic`] carrying its trial index, the worker keeps its
-//!   pool slot, and the other trials are unaffected. [`try_run_trials`]
-//!   surfaces the panic as [`SweepError::Panic`]; [`run_trials_isolated`]
-//!   returns a per-trial `Result` so callers (the fault-injection
-//!   harness, the engine's degrade-gracefully paths) can keep every
-//!   healthy trial. [`run_trials`] re-raises the panic on the calling
-//!   thread — its contract is infallible jobs, so a panic there is a
-//!   programming error that must stay loud.
+//!   typed [`TrialPanic`] carrying its trial index, and no worker or pool
+//!   dies with it. A failure — an error or a caught panic — stops the
+//!   sweep: workers claim no new trials, the claimed ones finish, and
+//!   [`try_run_trials`] returns the failure with the smallest trial index
+//!   ([`SweepError::Panic`] for a panic). A caller that wants the healthy
+//!   trials back runs the sweep again; trials are pure functions of their
+//!   index, so the retry reproduces them exactly. [`run_trials`]
+//!   re-raises the panic on the calling thread — its contract is
+//!   infallible jobs, so a panic there is a programming error that must
+//!   stay loud.
 //!
 //! `cadapt-lint`'s `nondet-source` rule bans `thread::spawn` /
 //! `crossbeam` in every other library module, so new parallel code must
@@ -111,6 +113,16 @@ pub enum SweepError<E> {
     Panic(TrialPanic),
 }
 
+impl<E> SweepError<E> {
+    /// Index of the failing trial.
+    fn trial(&self) -> u64 {
+        match self {
+            SweepError::Job { trial, .. } => *trial,
+            SweepError::Panic(p) => p.trial,
+        }
+    }
+}
+
 impl<E: fmt::Display> fmt::Display for SweepError<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -133,43 +145,57 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// How one trial ended inside the engine.
-enum Outcome<E> {
-    Error(E),
-    Panicked(String),
+/// One worker's haul: its completed `(trial, value)` pairs, plus the
+/// failure that stopped it, if any.
+type Haul<T, E> = (Vec<(u64, T)>, Option<SweepError<E>>);
+
+/// One worker's loop: claim the next unclaimed trial until none is left
+/// or any worker has seen a failure, running each under
+/// [`catch_unwind`].
+fn claim_trials<T, E, F>(trials: u64, run: &F, next: &AtomicU64, stop: &AtomicBool) -> Haul<T, E>
+where
+    F: Fn(u64) -> Result<T, E>,
+{
+    let mut done: Vec<(u64, T)> = Vec::new();
+    while !stop.load(Ordering::Relaxed) {
+        let trial = next.fetch_add(1, Ordering::Relaxed);
+        if trial >= trials {
+            break;
+        }
+        // AssertUnwindSafe: the closure only reads `Sync` state and the
+        // counters are atomics or thread-local cells — a panicking trial
+        // cannot leave either torn, and its own partial work is discarded
+        // with the unwound stack.
+        let failure = match catch_unwind(AssertUnwindSafe(|| run(trial))) {
+            Ok(Ok(value)) => {
+                done.push((trial, value));
+                continue;
+            }
+            Ok(Err(error)) => SweepError::Job { trial, error },
+            Err(payload) => SweepError::Panic(TrialPanic {
+                trial,
+                message: panic_message(payload.as_ref()),
+            }),
+        };
+        stop.store(true, Ordering::Relaxed);
+        return (done, Some(failure));
+    }
+    (done, None)
 }
 
-/// One worker's haul: completed `(trial, value)` pairs plus the failures
-/// it observed (a panicking trial does not stop a non-fail-fast worker).
-type Haul<T, E> = (Vec<(u64, T)>, Vec<(u64, Outcome<E>)>);
-
-/// The shared work-stealing loop behind every public entry point.
-///
-/// Returns completed `(trial, value)` pairs and failures `(trial,
-/// outcome)` — both sorted by trial index. With `fail_fast`, workers stop
-/// claiming new trials once any failure is observed (the already-claimed
-/// trials still finish), so an early error does not burn the whole sweep.
-///
-/// A one-worker sweep runs on the calling thread: it spawns nothing, and
-/// its trials count straight into the caller's open [`Recording`].
-fn run_engine<T, E, F>(trials: u64, threads: usize, fail_fast: bool, run: &F) -> Haul<T, E>
+/// Run [`claim_trials`] on `threads` scoped workers sharing one trial
+/// counter and stop flag, and merge their hauls: values sorted by trial,
+/// and the failure with the smallest trial index. The workers' counter
+/// totals are folded into the caller's open [`Recording`] (a per-trial
+/// sum, hence schedule-independent), on the error path too.
+fn spawn_workers<T, E, F>(trials: u64, threads: usize, run: &F) -> Haul<T, E>
 where
     T: Send,
     E: Send,
     F: Fn(u64) -> Result<T, E> + Sync,
 {
-    let threads = resolve_threads(threads)
-        .min(cast::usize_from_u64(trials.max(1)))
-        .max(1);
     let next_trial = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
-    if threads == 1 {
-        // One worker claims the trials in index order, so its haul is
-        // already sorted and a fail-fast stop leaves the smallest failing
-        // index. No worker total is folded: that would count every trial
-        // a second time.
-        return claim_trials(trials, fail_fast, run, &next_trial, &stop);
-    }
     let shared_counters = SharedCounters::new();
     let hauls: Vec<Haul<T, E>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
@@ -179,7 +205,7 @@ where
             let counters = &shared_counters;
             handles.push(scope.spawn(move || {
                 let recording = Recording::start();
-                let haul = claim_trials(trials, fail_fast, run, next, stop);
+                let haul = claim_trials(trials, run, next, stop);
                 counters.add(&recording.finish());
                 haul
             }));
@@ -198,64 +224,18 @@ where
             })
             .collect()
     });
-
-    // Make the workers' counts visible to the caller's own recording (a
-    // per-trial sum, hence schedule-independent) before any early return.
-    let totals = shared_counters.snapshot();
-    cadapt_core::counters::count_snapshot(&totals);
-
+    cadapt_core::counters::count_snapshot(&shared_counters.snapshot());
     let mut done: Vec<(u64, T)> = Vec::new();
-    let mut failed: Vec<(u64, Outcome<E>)> = Vec::new();
-    for (d, f) in hauls {
-        done.extend(d);
-        failed.extend(f);
+    let mut first_failure: Option<SweepError<E>> = None;
+    for (values, failure) in hauls {
+        done.extend(values);
+        first_failure = first_failure
+            .into_iter()
+            .chain(failure)
+            .min_by_key(SweepError::trial);
     }
     done.sort_unstable_by_key(|&(trial, _)| trial);
-    failed.sort_unstable_by_key(|&(trial, _)| trial);
-    (done, failed)
-}
-
-/// One worker's loop: claim the next unclaimed trial until none is left
-/// (or, with `fail_fast`, until any worker has seen a failure), running
-/// each under [`catch_unwind`].
-fn claim_trials<T, E, F>(
-    trials: u64,
-    fail_fast: bool,
-    run: &F,
-    next: &AtomicU64,
-    stop: &AtomicBool,
-) -> Haul<T, E>
-where
-    F: Fn(u64) -> Result<T, E>,
-{
-    let mut done: Vec<(u64, T)> = Vec::new();
-    let mut failed: Vec<(u64, Outcome<E>)> = Vec::new();
-    loop {
-        if fail_fast && stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let trial = next.fetch_add(1, Ordering::Relaxed);
-        if trial >= trials {
-            break;
-        }
-        // AssertUnwindSafe: the closure only reads `Sync` state and the
-        // counters are atomics or thread-local cells — a panicking trial
-        // cannot leave either torn, and its own partial work is discarded
-        // with the unwound stack.
-        let outcome = match catch_unwind(AssertUnwindSafe(|| run(trial))) {
-            Ok(Ok(value)) => {
-                done.push((trial, value));
-                continue;
-            }
-            Ok(Err(e)) => Outcome::Error(e),
-            Err(payload) => Outcome::Panicked(panic_message(payload.as_ref())),
-        };
-        failed.push((trial, outcome));
-        if fail_fast {
-            stop.store(true, Ordering::Relaxed);
-        }
-    }
-    (done, failed)
+    (done, first_failure)
 }
 
 /// Run `trials` independent jobs over `threads` workers (0 = available
@@ -272,8 +252,8 @@ where
 ///
 /// A panicking job is caught at the engine boundary (the pool survives)
 /// and re-raised here with its trial index — infallible jobs that panic
-/// are programming errors. Use [`run_trials_isolated`] to keep the
-/// healthy trials instead.
+/// are programming errors. Use [`try_run_trials`] to get the panic back
+/// as a typed [`SweepError::Panic`] instead.
 pub fn run_trials<T, F>(trials: u64, threads: usize, run: F) -> Vec<T>
 where
     T: Send,
@@ -309,8 +289,13 @@ where
 /// failure like any other, surfaced as [`SweepError::Panic`] instead of
 /// poisoning the pool.
 ///
-/// Worker counter totals are folded into the caller's open [`Recording`]
-/// even on the error path, so partial sweeps stay observable.
+/// Workers stop claiming new trials once any failure is observed (the
+/// already-claimed trials still finish, so every index below a failure
+/// runs and the smallest failing one is found). A one-worker sweep runs
+/// on the calling thread: it spawns nothing, and its trials count straight
+/// into the caller's open [`Recording`]. Otherwise the workers' counter
+/// totals are folded into that recording, on the error path too, so
+/// partial sweeps stay observable.
 ///
 /// # Errors
 ///
@@ -321,56 +306,23 @@ where
     E: Send,
     F: Fn(u64) -> Result<T, E> + Sync,
 {
-    let (done, mut failed) = run_engine(trials, threads, true, &run);
-    if let Some((trial, outcome)) = failed.drain(..).next() {
-        return Err(match outcome {
-            Outcome::Error(error) => SweepError::Job { trial, error },
-            Outcome::Panicked(message) => SweepError::Panic(TrialPanic { trial, message }),
-        });
+    let threads = resolve_threads(threads)
+        .min(cast::usize_from_u64(trials.max(1)))
+        .max(1);
+    let (done, failure) = if threads == 1 {
+        // One worker claims the trials in index order, so its haul is
+        // already sorted and it stops at the smallest failing index. No
+        // worker total is folded: that would count every trial a second
+        // time.
+        let (next_trial, stop) = (AtomicU64::new(0), AtomicBool::new(false));
+        claim_trials(trials, &run, &next_trial, &stop)
+    } else {
+        spawn_workers(trials, threads, &run)
+    };
+    if let Some(failure) = failure {
+        return Err(failure);
     }
     Ok(done.into_iter().map(|(_, value)| value).collect())
-}
-
-/// Run **all** `trials` jobs, isolating panics per trial: the result is
-/// one `Result` per trial, in trial order, where a panicked trial carries
-/// its [`TrialPanic`] and every other trial's value survives. This is the
-/// degrade-gracefully entry point: one poisoned trial costs one slot in
-/// the output, never the sweep.
-pub fn run_trials_isolated<T, F>(trials: u64, threads: usize, run: F) -> Vec<Result<T, TrialPanic>>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    let (done, failed) = run_engine(trials, threads, false, &|trial| {
-        Ok::<T, Infallible>(run(trial))
-    });
-    let mut out: Vec<Result<T, TrialPanic>> = Vec::with_capacity(cast::usize_from_u64(trials));
-    let mut done = done.into_iter().peekable();
-    let mut failed = failed.into_iter().peekable();
-    for trial in 0..trials {
-        if done.peek().is_some_and(|&(t, _)| t == trial) {
-            // cadapt-lint: allow(panic-reach) -- peek above guarantees the entry exists
-            let (_, value) = done.next().expect("peeked");
-            out.push(Ok(value));
-        } else if failed.peek().is_some_and(|&(t, _)| t == trial) {
-            // cadapt-lint: allow(panic-reach) -- peek above guarantees the entry exists
-            let (_, outcome) = failed.next().expect("peeked");
-            let message = match outcome {
-                Outcome::Panicked(message) => message,
-                // Infallible jobs cannot produce Outcome::Error.
-                Outcome::Error(never) => match never {},
-            };
-            out.push(Err(TrialPanic { trial, message }));
-        } else {
-            // Non-fail-fast engines claim every index; a gap is an engine
-            // bug, reported as a synthetic panic rather than an abort.
-            out.push(Err(TrialPanic {
-                trial,
-                message: "trial missing from engine output".to_string(),
-            }));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -475,38 +427,27 @@ mod tests {
     }
 
     #[test]
-    fn isolated_sweep_keeps_every_healthy_trial() {
-        for threads in [1, 2, 4] {
-            let results = run_trials_isolated(12, threads, |t| {
-                assert!(t % 5 != 3, "injected: trial {t}");
-                t * 10
-            });
-            assert_eq!(results.len(), 12);
-            for (t, r) in results.iter().enumerate() {
-                let t = t as u64;
-                if t % 5 == 3 {
-                    let p = r.as_ref().unwrap_err();
-                    assert_eq!(p.trial, t);
-                    assert!(p.message.contains("injected"), "message: {}", p.message);
-                } else {
-                    assert_eq!(*r.as_ref().unwrap(), t * 10, "threads = {threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn counters_fold_even_when_a_trial_panics() {
         for threads in [1, 2] {
             let rec = Recording::start();
-            let results = run_trials_isolated(8, threads, |t| {
+            let err = try_run_trials(8, threads, |t| {
                 count_boxes(2);
                 assert!(t != 4, "injected");
-                t
-            });
-            // Every trial counted before its panic point; totals stay exact.
-            assert_eq!(rec.finish().boxes_advanced, 16, "threads = {threads}");
-            assert_eq!(results.iter().filter(|r| r.is_err()).count(), 1);
+                Ok::<u64, ()>(t)
+            })
+            .unwrap_err();
+            assert!(matches!(err, SweepError::Panic(ref p) if p.trial == 4));
+            let counted = rec.finish().boxes_advanced;
+            if threads == 1 {
+                // Trials 0..=4 ran in order, each counting before its
+                // panic point; the sweep stopped there.
+                assert_eq!(counted, 10);
+            } else {
+                // Every index up to the panic ran; claimed trials past it
+                // may have finished too, and each counts exactly once.
+                assert!((10..=16).contains(&counted), "counted {counted}");
+                assert_eq!(counted % 2, 0, "counted {counted}");
+            }
         }
     }
 

@@ -14,7 +14,7 @@
 //! the fault-tolerance rework); anything that used to `unwrap` now
 //! `?`-propagates here.
 
-use cadapt_analysis::{McError, SweepError, TrialPanic};
+use cadapt_analysis::{McError, TrialPanic};
 use cadapt_core::CoreError;
 use cadapt_recursion::RunError;
 use std::fmt;
@@ -39,7 +39,8 @@ pub enum BenchError {
         /// Boxes fully consumed before cancellation was observed.
         after_boxes: u64,
     },
-    /// A Monte-Carlo estimate failed, keyed by the offending trial.
+    /// A Monte-Carlo trial's execution failed, keyed by the offending
+    /// trial (a trial panic becomes [`BenchError::Panicked`] instead).
     Mc(McError),
     /// An isolated trial panic, caught at the engine boundary.
     Panicked {
@@ -124,15 +125,6 @@ impl BenchError {
             | BenchError::Run(_)
             | BenchError::Mc(_)
             | BenchError::Invariant { .. } => 1,
-        }
-    }
-
-    /// Wrap an engine sweep failure, recording what was running.
-    #[must_use]
-    pub fn from_sweep(context: &str, e: SweepError<RunError>) -> BenchError {
-        match e {
-            SweepError::Job { trial, error } => BenchError::Mc(McError::Run { trial, error }),
-            SweepError::Panic(p) => BenchError::from_trial_panic(context, p),
         }
     }
 
@@ -246,7 +238,10 @@ impl From<McError> for BenchError {
                 error: RunError::Cancelled { after_boxes },
                 ..
             } => BenchError::Cancelled { after_boxes },
-            other => BenchError::Mc(other),
+            // An isolated trial panic keeps its own exit code (5) whichever
+            // sweep it came from.
+            McError::Panic(p) => BenchError::from_trial_panic("monte-carlo sweep", p),
+            run => BenchError::Mc(run),
         }
     }
 }
@@ -356,21 +351,30 @@ mod tests {
 
     #[test]
     fn sweep_wrappers_keep_the_trial_index() {
-        let e = BenchError::from_sweep(
-            "experiment e2",
-            SweepError::Panic(TrialPanic {
-                trial: 9,
-                message: "boom".into(),
-            }),
-        );
+        // A trial panic inside monte_carlo_ratio is an isolated panic
+        // (exit 5), like one in any other sweep, not a semantic failure.
+        let e: BenchError = McError::Panic(TrialPanic {
+            trial: 9,
+            message: "boom".into(),
+        })
+        .into();
         assert_eq!(
             e,
             BenchError::Panicked {
-                context: "experiment e2".into(),
+                context: "monte-carlo sweep".into(),
                 trial: Some(9),
                 message: "boom".into()
             }
         );
-        assert!(e.to_string().contains("trial 9"));
+        assert_eq!(e.exit_code(), 5);
+        assert_eq!(e.to_string(), "monte-carlo sweep: trial 9 panicked: boom");
+        // A trial's execution error stays a semantic failure (exit 1).
+        let run: BenchError = McError::Run {
+            trial: 2,
+            error: RunError::BoxBudgetExhausted { max_boxes: 2 },
+        }
+        .into();
+        assert!(matches!(run, BenchError::Mc(McError::Run { trial: 2, .. })));
+        assert_eq!(run.exit_code(), 1);
     }
 }

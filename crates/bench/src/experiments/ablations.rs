@@ -24,10 +24,8 @@
 
 use super::common::{log_b, size_sweep, RatioSeries};
 use crate::{BenchError, Scale};
-use cadapt_analysis::montecarlo::trial_rng;
-use cadapt_analysis::parallel::try_run_trials;
 use cadapt_analysis::table::fnum;
-use cadapt_analysis::{monte_carlo_ratio, McConfig, Stats, Table};
+use cadapt_analysis::{monte_carlo_ratio, McConfig, Table};
 use cadapt_profiles::dist::{DistSource, EmpiricalMultiset, PermutationSource, PowerOfB};
 use cadapt_profiles::{worst_case_squares, MatchedWorstCase, WorstCase};
 use cadapt_recursion::{run_on_profile, AbcParams, ExecModel, RunConfig, ScanLayout};
@@ -120,23 +118,21 @@ pub fn run_threaded(scale: Scale, threads: usize) -> Result<AblationResult, Benc
         iid_points.push((log_b(&params, n), summary.ratio.mean));
 
         let profile = worst_case_squares(&wc);
-        let ratios = try_run_trials(trials, threads, |trial| {
-            let rng = trial_rng(0xA1A, trial);
-            let mut source = PermutationSource::new(&profile, rng);
-            run_on_profile(params, n, &mut source, &RunConfig::default()).map(|r| r.ratio())
-        })
-        .map_err(|e| BenchError::from_sweep(&format!("A1 permutation n={n}"), e))?;
-        let mut stats = Stats::new();
-        for ratio in ratios {
-            stats.push(ratio);
-        }
+        let config = McConfig {
+            seed: 0xA1A,
+            ..config
+        };
+        let ratio = monte_carlo_ratio(params, n, &config, |rng| {
+            PermutationSource::new(&profile, rng)
+        })?
+        .ratio;
         shuffle_table.push_row(vec![
             "permutation".to_string(),
             n.to_string(),
-            fnum(stats.mean),
-            fnum(stats.ci95()),
+            fnum(ratio.mean),
+            fnum(ratio.ci95()),
         ]);
-        perm_points.push((log_b(&params, n), stats.mean));
+        perm_points.push((log_b(&params, n), ratio.mean));
     }
     let shuffle_series = vec![
         RatioSeries::classify("iid multiset", iid_points),

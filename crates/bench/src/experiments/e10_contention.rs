@@ -9,13 +9,12 @@
 
 use super::common::{log_b, size_sweep, RatioSeries};
 use crate::{BenchError, Scale};
-use cadapt_analysis::montecarlo::trial_rng;
-use cadapt_analysis::parallel::try_run_trials;
 use cadapt_analysis::table::fnum;
-use cadapt_analysis::{Stats, Table};
+use cadapt_analysis::{monte_carlo_ratio, McConfig, Table};
 use cadapt_profiles::contention::multi_tenant;
+use cadapt_profiles::perturb::random_cyclic_shift;
 use cadapt_profiles::sawtooth_squares;
-use cadapt_recursion::{run_on_profile, AbcParams, RunConfig};
+use cadapt_recursion::AbcParams;
 
 /// Result of E10.
 #[derive(Debug)]
@@ -52,34 +51,33 @@ pub fn run_threaded(scale: Scale, threads: usize) -> Result<E10Result, BenchErro
     );
     let mut sawtooth_points = Vec::new();
     let mut tenant_points = Vec::new();
+    let config = |seed| McConfig {
+        trials,
+        seed,
+        threads,
+        ..McConfig::default()
+    };
     for n in size_sweep(&params, 2, k_hi, u64::MAX) {
         // Winner-take-all sawtooth spanning the algorithm's size range.
         // The profile is deterministic (memoized process-wide); vary the
-        // phase by rotating.
+        // phase by starting each trial's cycle at a random time.
         let squares = sawtooth_squares(1, n, u128::from(n), 16 * u128::from(n));
-        let ratios = try_run_trials(trials, threads, |trial| {
-            let mut rng = trial_rng(0xE10, trial);
-            let shifted = cadapt_profiles::perturb::random_cyclic_shift(&squares, &mut rng);
-            let mut source = shifted.cycle();
-            run_on_profile(params, n, &mut source, &RunConfig::default()).map(|r| r.ratio())
-        })
-        .map_err(|e| BenchError::from_sweep(&format!("E10 sawtooth n={n}"), e))?;
-        let mut stats = Stats::new();
-        for ratio in ratios {
-            stats.push(ratio);
-        }
+        let ratio = monte_carlo_ratio(params, n, &config(0xE10), |mut rng| {
+            random_cyclic_shift(&squares, &mut rng)
+        })?
+        .ratio;
         table.push_row(vec![
             "sawtooth".to_string(),
             n.to_string(),
-            fnum(stats.mean),
-            fnum(stats.ci95()),
+            fnum(ratio.mean),
+            fnum(ratio.ci95()),
         ]);
-        sawtooth_points.push((log_b(&params, n), stats.mean));
+        sawtooth_points.push((log_b(&params, n), ratio.mean));
 
         // Multi-tenant fair sharing with churn (profile is per-trial
-        // random, so there is nothing to memoize).
-        let ratios = try_run_trials(trials, threads, |trial| {
-            let mut rng = trial_rng(0x10E, trial);
+        // random, so there is nothing to memoize: each trial owns its
+        // cycle).
+        let ratio = monte_carlo_ratio(params, n, &config(0x10E), |mut rng| {
             let profile = multi_tenant(
                 2 * n,
                 8,
@@ -88,22 +86,16 @@ pub fn run_threaded(scale: Scale, threads: usize) -> Result<E10Result, BenchErro
                 32 * u128::from(n),
                 &mut rng,
             );
-            let squares = profile.inner_squares();
-            let mut source = squares.cycle();
-            run_on_profile(params, n, &mut source, &RunConfig::default()).map(|r| r.ratio())
-        })
-        .map_err(|e| BenchError::from_sweep(&format!("E10 multi-tenant n={n}"), e))?;
-        let mut stats = Stats::new();
-        for ratio in ratios {
-            stats.push(ratio);
-        }
+            profile.inner_squares().into_cycle()
+        })?
+        .ratio;
         table.push_row(vec![
             "multi-tenant".to_string(),
             n.to_string(),
-            fnum(stats.mean),
-            fnum(stats.ci95()),
+            fnum(ratio.mean),
+            fnum(ratio.ci95()),
         ]);
-        tenant_points.push((log_b(&params, n), stats.mean));
+        tenant_points.push((log_b(&params, n), ratio.mean));
     }
     let series = vec![
         RatioSeries::classify("sawtooth", sawtooth_points),

@@ -13,7 +13,7 @@ use crate::{BenchError, Scale};
 use cadapt_analysis::table::fnum;
 use cadapt_analysis::{monte_carlo_ratio, McConfig, Table};
 use cadapt_profiles::dist::{
-    BoxDist, DynDistSource, EmpiricalMultiset, LogUniform, ParetoBoxes, PointMass, PowerLawBoxes,
+    BoxDist, DistSource, EmpiricalMultiset, LogUniform, ParetoBoxes, PointMass, PowerLawBoxes,
     PowerOfB, UniformBoxes,
 };
 use cadapt_profiles::WorstCase;
@@ -133,7 +133,7 @@ pub fn run_threaded(scale: Scale, threads: usize) -> Result<E2Result, BenchError
                     ..McConfig::default()
                 };
                 let summary = monte_carlo_ratio(params, n, &config, |rng| {
-                    DynDistSource::new(dist.as_ref(), rng)
+                    DistSource::new(dist.as_ref(), rng)
                 })?;
                 table.push_row(vec![
                     label.to_string(),

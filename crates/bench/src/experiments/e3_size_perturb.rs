@@ -19,15 +19,13 @@
 
 use super::common::{log_b, size_sweep, RatioSeries};
 use crate::{BenchError, Scale};
-use cadapt_analysis::montecarlo::trial_rng;
-use cadapt_analysis::parallel::try_run_trials;
 use cadapt_analysis::table::fnum;
-use cadapt_analysis::{Stats, Table};
+use cadapt_analysis::{monte_carlo_ratio, McConfig, Table};
 use cadapt_profiles::perturb::{
     ConstantFactorJiggle, MultiplierDist, SizePerturbedSource, UniformMultiplier,
 };
 use cadapt_profiles::WorstCase;
-use cadapt_recursion::{run_on_profile, AbcParams, RunConfig};
+use cadapt_recursion::AbcParams;
 
 /// Result of E3.
 #[derive(Debug)]
@@ -71,27 +69,27 @@ pub fn run_threaded(scale: Scale, threads: usize) -> Result<E3Result, BenchError
         &["multiplier", "n", "ratio", "ci95"],
     );
     let mut series = Vec::new();
+    let config = McConfig {
+        trials,
+        seed: 0xE3,
+        threads,
+        ..McConfig::default()
+    };
     for mult in multipliers() {
         let mut points = Vec::new();
         for n in size_sweep(&params, 2, k_hi, u64::MAX) {
             let wc = WorstCase::for_problem(&params, n)?;
-            let ratios = try_run_trials(trials, threads, |trial| {
-                let rng = trial_rng(0xE3, trial);
-                let mut source = SizePerturbedSource::new(wc.source(), mult.as_ref(), rng);
-                run_on_profile(params, n, &mut source, &RunConfig::default()).map(|r| r.ratio())
-            })
-            .map_err(|e| BenchError::from_sweep(&format!("E3 {} n={n}", mult.label()), e))?;
-            let mut stats = Stats::new();
-            for ratio in ratios {
-                stats.push(ratio);
-            }
+            let ratio = monte_carlo_ratio(params, n, &config, |rng| {
+                SizePerturbedSource::new(wc.source(), mult.as_ref(), rng)
+            })?
+            .ratio;
             table.push_row(vec![
                 mult.label(),
                 n.to_string(),
-                fnum(stats.mean),
-                fnum(stats.ci95()),
+                fnum(ratio.mean),
+                fnum(ratio.ci95()),
             ]);
-            points.push((log_b(&params, n), stats.mean));
+            points.push((log_b(&params, n), ratio.mean));
         }
         series.push(RatioSeries::classify(mult.label(), points));
     }

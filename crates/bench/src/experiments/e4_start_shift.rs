@@ -8,13 +8,11 @@
 
 use super::common::{log_b, size_sweep, RatioSeries};
 use crate::{BenchError, Scale};
-use cadapt_analysis::montecarlo::trial_rng;
-use cadapt_analysis::parallel::try_run_trials;
 use cadapt_analysis::table::fnum;
-use cadapt_analysis::{Stats, Table};
+use cadapt_analysis::{monte_carlo_ratio, McConfig, Table};
 use cadapt_profiles::perturb::random_cyclic_shift;
 use cadapt_profiles::{worst_case_squares, WorstCase};
-use cadapt_recursion::{run_on_profile, AbcParams, RunConfig};
+use cadapt_recursion::AbcParams;
 
 /// Result of E4.
 #[derive(Debug)]
@@ -44,38 +42,37 @@ pub fn run(scale: Scale) -> Result<E4Result, BenchError> {
 pub fn run_threaded(scale: Scale, threads: usize) -> Result<E4Result, BenchError> {
     let params = AbcParams::mm_scan();
     let trials = scale.pick(16, 64);
-    // Shifted profiles must be materialised; cap the depth so the box count
-    // stays manageable (8^7 ≈ 2M boxes at k = 7).
+    // The shifted cycles stream one materialised profile; cap the depth
+    // so its box count stays manageable (8^7 ≈ 2M boxes at k = 7).
     let k_hi = scale.pick(5, 7);
     let mut table = Table::new(
         "E4: expected ratio under random cyclic start shifts (MM-Scan)",
         &["n", "ratio", "ci95", "min", "max"],
     );
     let mut points = Vec::new();
+    let config = McConfig {
+        trials,
+        seed: 0xE4,
+        threads,
+        ..McConfig::default()
+    };
     for n in size_sweep(&params, 2, k_hi, u64::MAX) {
         let wc = WorstCase::for_problem(&params, n)?;
-        // Memoized across sweep points and workers: every trial shifts the
-        // same materialised prefix.
+        // Memoized across sweep points and workers: every trial cycles the
+        // same materialised profile from its own start box.
         let profile = worst_case_squares(&wc);
-        let ratios = try_run_trials(trials, threads, |trial| {
-            let mut rng = trial_rng(0xE4, trial);
-            let shifted = random_cyclic_shift(&profile, &mut rng);
-            let mut source = shifted.cycle();
-            run_on_profile(params, n, &mut source, &RunConfig::default()).map(|r| r.ratio())
-        })
-        .map_err(|e| BenchError::from_sweep(&format!("E4 cyclic shift n={n}"), e))?;
-        let mut stats = Stats::new();
-        for ratio in ratios {
-            stats.push(ratio);
-        }
+        let ratio = monte_carlo_ratio(params, n, &config, |mut rng| {
+            random_cyclic_shift(&profile, &mut rng)
+        })?
+        .ratio;
         table.push_row(vec![
             n.to_string(),
-            fnum(stats.mean),
-            fnum(stats.ci95()),
-            fnum(stats.min),
-            fnum(stats.max),
+            fnum(ratio.mean),
+            fnum(ratio.ci95()),
+            fnum(ratio.min),
+            fnum(ratio.max),
         ]);
-        points.push((log_b(&params, n), stats.mean));
+        points.push((log_b(&params, n), ratio.mean));
     }
     let series = RatioSeries::classify("random cyclic shift", points);
     Ok(E4Result { table, series })

@@ -21,10 +21,8 @@
 
 use super::common::{log_b, size_sweep, RatioSeries};
 use crate::{BenchError, Scale};
-use cadapt_analysis::montecarlo::trial_rng;
-use cadapt_analysis::parallel::try_run_trials;
 use cadapt_analysis::table::fnum;
-use cadapt_analysis::{Stats, Table};
+use cadapt_analysis::{monte_carlo_ratio, McConfig, Table};
 use cadapt_profiles::perturb::{BoxOrderPerturbedSource, FirstPlacement, RandomPlacement};
 use cadapt_profiles::WorstCase;
 use cadapt_recursion::{run_on_profile, AbcParams, RunConfig};
@@ -67,28 +65,28 @@ pub fn run_threaded(scale: Scale, threads: usize) -> Result<E5Result, BenchError
     let mut min_points = Vec::new();
     let mut first_points = Vec::new();
     let sizes = size_sweep(&params, 2, k_hi, u64::MAX);
+    let config = McConfig {
+        trials,
+        seed: 0xE5,
+        threads,
+        ..McConfig::default()
+    };
     for &n in &sizes {
         let wc = WorstCase::for_problem(&params, n)?;
         // Random placement, many trials.
-        let ratios = try_run_trials(trials, threads, |trial| {
-            let rng = trial_rng(0xE5, trial);
-            let mut source = BoxOrderPerturbedSource::new(wc, RandomPlacement(rng));
-            run_on_profile(params, n, &mut source, &RunConfig::default()).map(|r| r.ratio())
-        })
-        .map_err(|e| BenchError::from_sweep(&format!("E5 random placement n={n}"), e))?;
-        let mut stats = Stats::new();
-        for ratio in ratios {
-            stats.push(ratio);
-        }
+        let ratio = monte_carlo_ratio(params, n, &config, |rng| {
+            BoxOrderPerturbedSource::new(wc, RandomPlacement(rng))
+        })?
+        .ratio;
         table.push_row(vec![
             "random".to_string(),
             n.to_string(),
-            fnum(stats.mean),
-            fnum(stats.ci95()),
-            fnum(stats.min),
+            fnum(ratio.mean),
+            fnum(ratio.ci95()),
+            fnum(ratio.min),
         ]);
-        random_points.push((log_b(&params, n), stats.mean));
-        min_points.push((log_b(&params, n), stats.min));
+        random_points.push((log_b(&params, n), ratio.mean));
+        min_points.push((log_b(&params, n), ratio.min));
         // Deterministic adversarial placement: big box right after child 1.
         let mut source = BoxOrderPerturbedSource::new(wc, FirstPlacement);
         let report = run_on_profile(params, n, &mut source, &RunConfig::default())?;

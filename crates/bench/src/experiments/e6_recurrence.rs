@@ -13,7 +13,7 @@ use cadapt_analysis::recurrence::{
 };
 use cadapt_analysis::table::fnum;
 use cadapt_analysis::{monte_carlo_ratio, McConfig, Table};
-use cadapt_profiles::dist::{BoxDist, DynDistSource, PointMass, PowerOfB};
+use cadapt_profiles::dist::{BoxDist, DistSource, PointMass, PowerOfB};
 use cadapt_recursion::AbcParams;
 
 /// One comparison row.
@@ -132,7 +132,7 @@ pub fn run_threaded(scale: Scale, threads: usize) -> Result<E6Result, BenchError
                 ..McConfig::default()
             };
             let summary = monte_carlo_ratio(params, n, &config, |rng| {
-                DynDistSource::new(dist.as_ref(), rng)
+                DistSource::new(dist.as_ref(), rng)
             })?;
             f_by_level.push(summary.boxes.mean);
         }
@@ -159,7 +159,7 @@ pub fn run_threaded(scale: Scale, threads: usize) -> Result<E6Result, BenchError
                 ..McConfig::default()
             };
             let summary = monte_carlo_ratio(params, n, &config, |rng| {
-                DynDistSource::new(dist.as_ref(), rng)
+                DistSource::new(dist.as_ref(), rng)
             })?;
             let row = E6Row {
                 dist: dist.label(),

@@ -6,9 +6,10 @@
 //! seed expands into per-case [`FaultPlan`]s — which trial panics, which
 //! write operation fails outright, which one "crashes" mid-write leaving
 //! a truncated staging file — and each case drives a small synthetic
-//! trial workload through the real machinery (`run_trials_isolated`,
-//! [`TrialSpans`] resume, [`ArtifactWriter`] persistence, envelope
-//! verification) under that plan.
+//! trial workload through the real machinery (`try_run_trials`, the
+//! fail-fast sweep every Monte-Carlo experiment runs, retried whole after
+//! a caught panic; [`ArtifactWriter`] persistence; envelope verification)
+//! under that plan.
 //!
 //! The verdict per case is binary and strict:
 //!
@@ -26,14 +27,13 @@
 
 use crate::error::BenchError;
 use crate::harness::store::{self, ArtifactWriter, StoreError};
-use cadapt_analysis::checkpoint::{run_missing_trials, TrialSpans};
 use cadapt_analysis::montecarlo::trial_rng;
-use cadapt_analysis::parallel::run_trials_isolated;
+use cadapt_analysis::parallel::{try_run_trials, SweepError};
 use rand::Rng;
 use serde_json::{Map, Number, Value};
 use std::convert::Infallible;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Trials in each case's synthetic workload.
 pub const TRIALS_PER_CASE: u64 = 16;
@@ -289,50 +289,40 @@ fn run_case(seed: u64, case: u64, dir: &Path) -> Result<CaseReport, BenchError> 
     let reference_payload = case_payload(seed, case, &reference);
 
     // Phase 1: the workload, with the planned trial panicking on its
-    // first attempt. The engine must isolate it — every other trial's
-    // value survives.
-    let first_pass = run_trials_isolated(TRIALS_PER_CASE, 2, |t| {
-        if plan.panic_trial == Some(t) {
+    // first attempt. The fail-fast sweep must catch it as a typed panic
+    // carrying that trial's index; the pool survives.
+    let armed = AtomicBool::new(true);
+    let job = |t| {
+        if plan.panic_trial == Some(t) && armed.swap(false, Ordering::Relaxed) {
             // cadapt-lint: allow(panic-reach) -- deliberate injected fault: this panic exists to be caught by the engine under test
             panic!("injected fault: case {case} trial {t}");
         }
-        sample(seed, case, t)
-    });
-    let mut done = TrialSpans::new();
-    let mut values: Vec<(u64, f64)> = Vec::new();
-    let mut panic_isolated = false;
-    for (t, outcome) in first_pass.into_iter().enumerate() {
-        let t = cadapt_core::cast::u64_from_usize(t);
-        match outcome {
-            Ok(x) => {
-                done.insert(t);
-                values.push((t, x));
+        Ok::<f64, Infallible>(sample(seed, case, t))
+    };
+    let (values, panic_isolated) = match try_run_trials(TRIALS_PER_CASE, 2, job) {
+        Ok(values) => (values, false),
+        Err(SweepError::Panic(p)) => {
+            if plan.panic_trial != Some(p.trial) || !p.message.contains("injected fault") {
+                return Err(BenchError::invariant(format!(
+                    "case {case}: unexpected trial failure: {p}"
+                )));
             }
-            Err(p) => {
-                if p.trial != t || !p.message.contains("injected fault") {
-                    return Err(BenchError::invariant(format!(
-                        "case {case}: unexpected trial failure: {p}"
-                    )));
-                }
-                panic_isolated = true;
-            }
+            // Phase 2: retry the whole sweep. Trials are pure functions of
+            // their index, so the retry reproduces every healthy trial.
+            let retry = try_run_trials(TRIALS_PER_CASE, 2, job).map_err(|e| {
+                BenchError::invariant(format!("case {case}: retried sweep failed: {e}"))
+            })?;
+            (retry, true)
         }
-    }
+        Err(SweepError::Job { error, .. }) => match error {},
+    };
     if plan.panic_trial.is_some() != panic_isolated {
         return Err(BenchError::invariant(format!(
             "case {case}: planned panic {:?} but isolation observed = {panic_isolated}",
             plan.panic_trial
         )));
     }
-
-    // Phase 2: resume exactly the missing trials (the checkpoint path a
-    // killed run takes) and merge in trial order.
-    let fresh = run_missing_trials(TRIALS_PER_CASE, 2, &done, |t| {
-        Ok::<f64, Infallible>(sample(seed, case, t))
-    })
-    .map_err(|e| BenchError::invariant(format!("case {case}: resume pass failed: {e}")))?;
-    values.extend(fresh);
-    values.sort_unstable_by_key(|&(t, _)| t);
+    let values: Vec<(u64, f64)> = (0..TRIALS_PER_CASE).zip(values).collect();
     let payload = case_payload(seed, case, &values);
 
     // Phase 3: persist through the faulty writer, one retry allowed.

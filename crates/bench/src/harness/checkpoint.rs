@@ -4,8 +4,8 @@
 //! `MANIFEST.json` next to its record files. The manifest is a
 //! checksummed envelope (see [`store`]) whose payload
 //! records the run's fingerprint (scale + selected experiment ids, in job
-//! order), the completed job-index spans
-//! ([`TrialSpans`] pairs), and — because run
+//! order), the completed job-index spans (sorted, disjoint `[start, end)`
+//! pairs), and — because run
 //! records themselves stay in the un-enveloped golden byte format — a
 //! CRC-32 tag vouching for each completed record file's exact bytes.
 //!
@@ -21,7 +21,6 @@
 use super::record::RunRecord;
 use super::store::{self, ArtifactWriter, StoreError};
 use crate::error::BenchError;
-use cadapt_analysis::TrialSpans;
 use cadapt_core::cast;
 use serde_json::{Map, Number, Value};
 use std::collections::BTreeMap;
@@ -38,6 +37,72 @@ pub const MANIFEST_NAME: &str = "MANIFEST.json";
 #[must_use]
 pub fn manifest_path(out: &Path) -> PathBuf {
     out.join(MANIFEST_NAME)
+}
+
+/// The completed job indices, as sorted, disjoint, non-touching half-open
+/// `[start, end)` spans — the manifest's `completed_jobs` shape. Inserting
+/// coalesces, so a clean prefix stays one `(0, k)` pair however it was
+/// accumulated.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct TrialSpans {
+    spans: Vec<(u64, u64)>,
+}
+
+impl TrialSpans {
+    /// Rebuild a span set from serialized `(start, end)` pairs.
+    ///
+    /// Rejects what a hostile or corrupted manifest could break: every
+    /// span non-empty (`start < end`), pairs sorted and neither
+    /// overlapping nor touching (touching pairs would be a second spelling
+    /// of the same set, breaking byte-stable re-serialization).
+    fn from_pairs(pairs: &[(u64, u64)]) -> Result<TrialSpans, String> {
+        let mut prev_end: Option<u64> = None;
+        for &(start, end) in pairs {
+            if start >= end {
+                return Err(format!("empty or inverted span ({start}, {end})"));
+            }
+            if let Some(prev) = prev_end {
+                if start <= prev {
+                    return Err(format!(
+                        "span ({start}, {end}) overlaps or touches the previous span ending at {prev}"
+                    ));
+                }
+            }
+            prev_end = Some(end);
+        }
+        Ok(TrialSpans {
+            spans: pairs.to_vec(),
+        })
+    }
+
+    /// The canonical serialized shape: `from_pairs(pairs())` is the
+    /// identity.
+    fn pairs(&self) -> &[(u64, u64)] {
+        &self.spans
+    }
+
+    /// Is `job` in the set?
+    fn contains(&self, job: u64) -> bool {
+        self.spans
+            .iter()
+            .any(|&(start, end)| (start..end).contains(&job))
+    }
+
+    /// Insert one job index, coalescing with the spans it touches.
+    fn insert(&mut self, job: u64) {
+        if self.contains(job) {
+            return;
+        }
+        let at = self.spans.partition_point(|&(start, _)| start <= job);
+        self.spans.insert(at, (job, job + 1));
+        self.spans.dedup_by(|next, prev| {
+            let touches = prev.1 == next.0;
+            if touches {
+                prev.1 = next.1;
+            }
+            touches
+        });
+    }
 }
 
 /// One completed job the manifest vouches for.
@@ -91,7 +156,7 @@ impl Checkpointer {
             ids,
             every: every.max(1),
             state: Mutex::new(State {
-                done: TrialSpans::new(),
+                done: TrialSpans::default(),
                 records: BTreeMap::new(),
                 since_flush: 0,
             }),
@@ -187,9 +252,9 @@ impl Checkpointer {
             Value::Array(
                 state
                     .done
-                    .to_pairs()
-                    .into_iter()
-                    .map(|(start, end)| {
+                    .pairs()
+                    .iter()
+                    .map(|&(start, end)| {
                         Value::Array(vec![
                             Value::Number(Number::U(u128::from(start))),
                             Value::Number(Number::U(u128::from(end))),
@@ -430,6 +495,58 @@ mod tests {
             .persist(&dir.join(format!("{}.json", record.experiment)), &text)
             .unwrap();
         text
+    }
+
+    #[test]
+    fn insert_coalesces_spans() {
+        let mut s = TrialSpans::default();
+        for t in [3, 1, 0, 2] {
+            s.insert(t);
+        }
+        assert_eq!(s.pairs(), [(0, 4)]);
+        s.insert(6);
+        assert_eq!(s.pairs(), [(0, 4), (6, 7)]);
+        s.insert(5);
+        s.insert(4);
+        assert_eq!(s.pairs(), [(0, 7)]);
+        // Re-inserting is a no-op.
+        s.insert(2);
+        assert_eq!(s.pairs(), [(0, 7)]);
+    }
+
+    #[test]
+    fn contains_and_missing_agree() {
+        let mut s = TrialSpans::default();
+        for t in [0, 1, 4, 5, 9] {
+            s.insert(t);
+        }
+        let missing: Vec<u64> = (0..11).filter(|&t| !s.contains(t)).collect();
+        assert_eq!(missing, vec![2, 3, 6, 7, 8, 10]);
+        assert_eq!(s.pairs(), [(0, 2), (4, 6), (9, 10)]);
+        assert!(!s.contains(11));
+    }
+
+    #[test]
+    fn pairs_round_trip_and_reject_corruption() {
+        let mut s = TrialSpans::default();
+        for t in [0, 1, 5, 7, 8] {
+            s.insert(t);
+        }
+        assert_eq!(TrialSpans::from_pairs(s.pairs()).unwrap(), s);
+        assert!(TrialSpans::from_pairs(&[(3, 3)]).is_err(), "empty span");
+        assert!(TrialSpans::from_pairs(&[(5, 2)]).is_err(), "inverted span");
+        assert!(
+            TrialSpans::from_pairs(&[(0, 4), (2, 6)]).is_err(),
+            "overlap"
+        );
+        assert!(
+            TrialSpans::from_pairs(&[(0, 4), (4, 6)]).is_err(),
+            "adjacent spans must be coalesced"
+        );
+        assert!(
+            TrialSpans::from_pairs(&[(4, 6), (0, 2)]).is_err(),
+            "unsorted"
+        );
     }
 
     #[test]

@@ -254,6 +254,22 @@ mod tests {
         fn run(&self, _ctx: ExpCtx) -> Result<ExperimentOutput, BenchError> {
             match self.kind {
                 "panic" => panic!("injected experiment panic"),
+                "trial" => {
+                    let config = cadapt_analysis::McConfig {
+                        trials: 4,
+                        threads: 2,
+                        ..cadapt_analysis::McConfig::default()
+                    };
+                    cadapt_analysis::monte_carlo_ratio(
+                        cadapt_recursion::AbcParams::mm_scan(),
+                        64,
+                        &config,
+                        |_rng| -> cadapt_core::profile::ConstantSource {
+                            panic!("injected trial panic")
+                        },
+                    )?;
+                    Err(BenchError::invariant("a panicking sweep returned"))
+                }
                 _ => Err(BenchError::invariant("injected typed failure")),
             }
         }
@@ -279,6 +295,21 @@ mod tests {
         // against a healthy golden.
         let back = RunRecord::from_json(&record.to_json()).unwrap();
         assert!(!back.complete);
+    }
+
+    #[test]
+    fn a_trial_panic_under_monte_carlo_ratio_exits_5() {
+        let (record, failure) =
+            run_record_resilient(&Explosive { kind: "trial" }, ExpCtx::new(Scale::Quick));
+        assert!(!record.complete);
+        assert!(record.tables[0].contains("injected trial panic"));
+        let failure = failure.expect("the sweep failed");
+        // Every trial panics, so the smallest index, 0, is reported.
+        assert!(
+            matches!(failure, BenchError::Panicked { trial: Some(0), .. }),
+            "{failure:?}"
+        );
+        assert_eq!(failure.exit_code(), 5);
     }
 
     #[test]

@@ -80,16 +80,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse from a CLI argument (`--quick` / `--full`; default full).
-    #[must_use]
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Full
-        }
-    }
-
     /// Parse a `--size` value (`quick` / `full`).
     #[must_use]
     pub fn parse(name: &str) -> Option<Scale> {

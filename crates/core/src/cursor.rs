@@ -1,8 +1,7 @@
 //! Streaming run-cursors: composable, constant-memory box pipelines.
 //!
 //! [`BoxSource`] answers "what is the next box?"; a [`RunCursor`] is the
-//! *pipeline* form of the same stream: it yields [`BoxRun`]s lazily, knows
-//! how many boxes remain ([`RunCursor::size_hint`], exact or bounded), can
+//! *pipeline* form of the same stream: it yields [`BoxRun`]s lazily, can
 //! be finite (`Ok(None)` when exhausted), and checks a shared
 //! [`CancelToken`] between runs so a long replay can be stopped
 //! cooperatively from another thread — surfaced as the typed [`Cancelled`]
@@ -12,7 +11,6 @@
 //! ([`take_boxes`](RunCursorExt::take_boxes),
 //! [`throttle`](RunCursorExt::throttle),
 //! [`interleave`](RunCursorExt::interleave),
-//! [`zip_with`](RunCursorExt::zip_with),
 //! [`cancellable`](RunCursorExt::cancellable)) holds O(1) state — at most
 //! one pending run per upstream — so a pipeline over a billion-box profile
 //! is as resident as a pipeline over ten boxes. That is the property the
@@ -29,10 +27,7 @@
 //! 2. **Discard-on-stop.** A consumer that stops mid-run discards the
 //!    remainder; the cursor is never polled again afterwards (inherited
 //!    from the [`BoxSource::next_run`] contract).
-//! 3. **Honest hints.** `size_hint() = (lo, hi)` brackets the number of
-//!    boxes remaining: at least `lo`, at most `hi` (`None` = unbounded).
-//!    Infinite cursors report `(u64::MAX, None)`.
-//! 4. **Cancellation points.** Cancellation is observed *between* runs
+//! 3. **Cancellation points.** Cancellation is observed *between* runs
 //!    (the check is in [`Cancellable::next_run`]), so a closed-form batch
 //!    advance is never torn in half; after `Err(Cancelled)` the cursor
 //!    must not be polled again.
@@ -99,20 +94,12 @@ pub trait RunCursor {
     /// [`Cancelled`] when a token in the pipeline has been cancelled; the
     /// cursor must not be polled again afterwards.
     fn next_run(&mut self) -> Result<Option<BoxRun>, Cancelled>;
-
-    /// Bounds on the number of boxes remaining: `(lo, hi)` with `hi =
-    /// None` meaning unbounded. Exact cursors report `lo == hi`.
-    fn size_hint(&self) -> (u64, Option<u64>);
 }
 
 /// Mirrors `Iterator`: a mutable reference to a cursor is a cursor.
 impl<C: RunCursor + ?Sized> RunCursor for &mut C {
     fn next_run(&mut self) -> Result<Option<BoxRun>, Cancelled> {
         (**self).next_run()
-    }
-
-    fn size_hint(&self) -> (u64, Option<u64>) {
-        (**self).size_hint()
     }
 }
 
@@ -121,10 +108,6 @@ impl<C: RunCursor + ?Sized> RunCursor for &mut C {
 impl<C: RunCursor + ?Sized> RunCursor for Box<C> {
     fn next_run(&mut self) -> Result<Option<BoxRun>, Cancelled> {
         (**self).next_run()
-    }
-
-    fn size_hint(&self) -> (u64, Option<u64>) {
-        (**self).size_hint()
     }
 }
 
@@ -158,11 +141,6 @@ impl<S: BoxSource> RunCursor for SourceCursor<S> {
         debug_assert!(run.size >= 1, "BoxSource yielded a zero-sized box");
         Ok(Some(run))
     }
-
-    fn size_hint(&self) -> (u64, Option<u64>) {
-        // Sources are infinite by contract.
-        (u64::MAX, None)
-    }
 }
 
 /// Subtract `emitted` boxes from a pending run, keeping infinite tails
@@ -177,29 +155,6 @@ fn run_minus(run: BoxRun, emitted: u64) -> Option<BoxRun> {
         size: run.size,
         repeat: left,
     })
-}
-
-/// Saturating sum of two size-hint bounds.
-fn hint_add(a: (u64, Option<u64>), b: (u64, Option<u64>)) -> (u64, Option<u64>) {
-    let lo = a.0.saturating_add(b.0);
-    let hi = match (a.1, b.1) {
-        (Some(x), Some(y)) => Some(x.saturating_add(y)),
-        _ => None,
-    };
-    (lo, hi)
-}
-
-/// Pointwise minimum of two size-hint bounds (for zipped streams, which
-/// end when the shorter side does).
-fn hint_min(a: (u64, Option<u64>), b: (u64, Option<u64>)) -> (u64, Option<u64>) {
-    let lo = a.0.min(b.0);
-    let hi = match (a.1, b.1) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (Some(x), None) => Some(x),
-        (None, Some(y)) => Some(y),
-        (None, None) => None,
-    };
-    (lo, hi)
 }
 
 /// Truncate a cursor after `boxes` boxes. See [`RunCursorExt::take_boxes`].
@@ -227,12 +182,6 @@ impl<C: RunCursor> RunCursor for TakeBoxes<C> {
             repeat: emit,
         }))
     }
-
-    fn size_hint(&self) -> (u64, Option<u64>) {
-        let (lo, hi) = self.inner.size_hint();
-        let hi = hi.map_or(self.remaining, |h| h.min(self.remaining));
-        (lo.min(self.remaining), Some(hi))
-    }
 }
 
 /// Cap every box size at `cap` blocks. See [`RunCursorExt::throttle`].
@@ -251,10 +200,6 @@ impl<C: RunCursor> RunCursor for Throttle<C> {
             size: run.size.min(self.cap),
             repeat: run.repeat,
         }))
-    }
-
-    fn size_hint(&self) -> (u64, Option<u64>) {
-        self.inner.size_hint()
     }
 }
 
@@ -328,88 +273,6 @@ impl<A: RunCursor, B: RunCursor> RunCursor for Interleave<A, B> {
             }
         }
     }
-
-    fn size_hint(&self) -> (u64, Option<u64>) {
-        let pend = |p: &Option<BoxRun>| -> (u64, Option<u64>) {
-            match p {
-                Some(r) => (r.repeat, Some(r.repeat)),
-                None => (0, Some(0)),
-            }
-        };
-        let a = if self.done_a {
-            pend(&self.pending_a)
-        } else {
-            hint_add(self.a.size_hint(), pend(&self.pending_a))
-        };
-        let b = if self.done_b {
-            pend(&self.pending_b)
-        } else {
-            hint_add(self.b.size_hint(), pend(&self.pending_b))
-        };
-        hint_add(a, b)
-    }
-}
-
-/// Combine two cursors box-by-box with a pure function. See
-/// [`RunCursorExt::zip_with`].
-#[derive(Debug, Clone)]
-pub struct ZipWith<A, B, F> {
-    a: A,
-    b: B,
-    f: F,
-    pending_a: Option<BoxRun>,
-    pending_b: Option<BoxRun>,
-    done: bool,
-}
-
-impl<A, B, F> RunCursor for ZipWith<A, B, F>
-where
-    A: RunCursor,
-    B: RunCursor,
-    F: FnMut(Blocks, Blocks) -> Blocks,
-{
-    fn next_run(&mut self) -> Result<Option<BoxRun>, Cancelled> {
-        if self.done {
-            return Ok(None);
-        }
-        if self.pending_a.is_none() {
-            self.pending_a = self.a.next_run()?;
-        }
-        if self.pending_b.is_none() {
-            self.pending_b = self.b.next_run()?;
-        }
-        let (Some(ra), Some(rb)) = (self.pending_a, self.pending_b) else {
-            // The zip ends at the shorter stream (law 2 discards the
-            // longer side's dangling half-run).
-            self.done = true;
-            return Ok(None);
-        };
-        // Both runs are constant over the overlap, so the combined stream
-        // is too: one output run of the overlap length.
-        let emit = ra.repeat.min(rb.repeat);
-        self.pending_a = run_minus(ra, emit);
-        self.pending_b = run_minus(rb, emit);
-        let size = (self.f)(ra.size, rb.size);
-        debug_assert!(size >= 1, "zip_with must produce positive box sizes");
-        Ok(Some(BoxRun { size, repeat: emit }))
-    }
-
-    fn size_hint(&self) -> (u64, Option<u64>) {
-        let side = |done_hint: (u64, Option<u64>), p: &Option<BoxRun>| {
-            let pend = match p {
-                Some(r) => (r.repeat, Some(r.repeat)),
-                None => (0, Some(0)),
-            };
-            hint_add(done_hint, pend)
-        };
-        if self.done {
-            return (0, Some(0));
-        }
-        hint_min(
-            side(self.a.size_hint(), &self.pending_a),
-            side(self.b.size_hint(), &self.pending_b),
-        )
-    }
 }
 
 /// Observe a [`CancelToken`] between runs. See
@@ -424,15 +287,11 @@ impl<C: RunCursor> RunCursor for Cancellable<C> {
     fn next_run(&mut self) -> Result<Option<BoxRun>, Cancelled> {
         // The check sits *before* the pull: a cancelled pipeline does no
         // further upstream work, and a run already handed out is never
-        // torn (cancellation points are between runs only — law 4).
+        // torn (cancellation points are between runs only — law 3).
         if self.token.is_cancelled() {
             return Err(Cancelled);
         }
         self.inner.next_run()
-    }
-
-    fn size_hint(&self) -> (u64, Option<u64>) {
-        self.inner.size_hint()
     }
 }
 
@@ -440,8 +299,7 @@ impl<C: RunCursor> RunCursor for Cancellable<C> {
 /// Each returns a new cursor holding O(1) state.
 pub trait RunCursorExt: RunCursor + Sized {
     /// Truncate the stream after `boxes` boxes (splitting a run at the
-    /// boundary). The resulting cursor is finite with an exact upper
-    /// hint of `boxes`.
+    /// boundary). The resulting cursor is finite.
     fn take_boxes(self, boxes: u64) -> TakeBoxes<Self> {
         TakeBoxes {
             inner: self,
@@ -479,25 +337,6 @@ pub trait RunCursorExt: RunCursor + Sized {
             done_b: false,
             on_a: true,
             left_in_slice: chunk,
-        }
-    }
-
-    /// Combine `self` and `other` box-by-box with `f` (e.g.
-    /// `Blocks::min` models two tenants constraining each other). Ends
-    /// at the shorter stream. `f` must map positive sizes to positive
-    /// sizes.
-    fn zip_with<B, F>(self, other: B, f: F) -> ZipWith<Self, B, F>
-    where
-        B: RunCursor,
-        F: FnMut(Blocks, Blocks) -> Blocks,
-    {
-        ZipWith {
-            a: self,
-            b: other,
-            f,
-            pending_a: None,
-            pending_b: None,
-            done: false,
         }
     }
 
@@ -547,15 +386,12 @@ mod tests {
         let expanded = expand(&mut cursor, 14);
         let direct: Vec<_> = (0..14).map(|_| by_box.next_box()).collect();
         assert_eq!(expanded, direct);
-        assert_eq!(cursor.size_hint(), (u64::MAX, None));
     }
 
     #[test]
     fn take_boxes_is_exact() {
         let mut c = SourceCursor::new(ConstantSource::new(4)).take_boxes(10);
-        assert_eq!(c.size_hint(), (10, Some(10)));
         assert_eq!(expand(&mut c, 100), vec![4; 10]);
-        assert_eq!(c.size_hint(), (0, Some(0)));
         assert_eq!(c.next_run(), Ok(None));
     }
 
@@ -598,33 +434,12 @@ mod tests {
         let a = SourceCursor::new(ConstantSource::new(1)).take_boxes(3);
         let b = SourceCursor::new(ConstantSource::new(9)).take_boxes(7);
         let mut c = a.interleave(b, 2);
-        assert_eq!(c.size_hint(), (10, Some(10)));
         assert_eq!(
             expand(&mut c, 100),
             vec![1, 1, 9, 9, 1, 9, 9, 9, 9, 9],
             "after a is exhausted mid-slice, b is drained to completion"
         );
         assert_eq!(c.next_run(), Ok(None));
-    }
-
-    #[test]
-    fn zip_with_combines_pointwise() {
-        let p = profile(&[8, 8, 2, 2, 2, 8]);
-        let a = SourceCursor::new(p.cycle());
-        let b = SourceCursor::new(ConstantSource::new(4));
-        let mut c = a.zip_with(b, Blocks::min).take_boxes(6);
-        assert_eq!(expand(&mut c, 100), vec![4, 4, 2, 2, 2, 4]);
-    }
-
-    #[test]
-    fn zip_with_ends_at_the_shorter_stream() {
-        let a = SourceCursor::new(ConstantSource::new(6)).take_boxes(4);
-        let b = SourceCursor::new(ConstantSource::new(2));
-        let mut c = a.zip_with(b, |x, y| x + y);
-        assert_eq!(c.size_hint(), (4, Some(4)));
-        assert_eq!(expand(&mut c, 100), vec![8, 8, 8, 8]);
-        assert_eq!(c.next_run(), Ok(None));
-        assert_eq!(c.size_hint(), (0, Some(0)));
     }
 
     #[test]
@@ -673,18 +488,29 @@ mod tests {
     #[test]
     fn infinite_tails_survive_combinators() {
         // An ExtendedSource's u64::MAX tail must stay infinite through
-        // throttle and zip (run_minus keeps MAX as MAX).
+        // throttle, and interleave must keep slicing it (run_minus keeps
+        // MAX as MAX) long after a finite count would have run out.
         let p = profile(&[3]);
-        let a = SourceCursor::new(p.extended(9));
-        let b = SourceCursor::new(ConstantSource::new(6));
-        let mut c = a.zip_with(b, Blocks::min);
-        assert_eq!(c.next_run(), Ok(Some(BoxRun { size: 3, repeat: 1 })));
+        let mut throttled = SourceCursor::new(p.extended(9)).throttle(6);
         assert_eq!(
-            c.next_run(),
+            throttled.next_run(),
+            Ok(Some(BoxRun { size: 3, repeat: 1 }))
+        );
+        assert_eq!(
+            throttled.next_run(),
             Ok(Some(BoxRun {
                 size: 6,
                 repeat: u64::MAX
             }))
         );
+        let a = SourceCursor::new(p.extended(9)).throttle(6);
+        let b = SourceCursor::new(ConstantSource::new(5));
+        let mut c = a.interleave(b, 2);
+        assert_eq!(c.next_run(), Ok(Some(BoxRun { size: 3, repeat: 1 })));
+        assert_eq!(c.next_run(), Ok(Some(BoxRun { size: 6, repeat: 1 })));
+        for _ in 0..4 {
+            assert_eq!(c.next_run(), Ok(Some(BoxRun { size: 5, repeat: 2 })));
+            assert_eq!(c.next_run(), Ok(Some(BoxRun { size: 6, repeat: 2 })));
+        }
     }
 }

@@ -273,10 +273,40 @@ impl SquareProfile {
     ///
     /// Panics if the profile is empty (an empty profile cannot be cycled).
     #[must_use]
-    pub fn cycle(&self) -> CycleSource<'_> {
+    pub fn cycle(&self) -> CycleSource<&[Blocks]> {
         assert!(!self.boxes.is_empty(), "cannot cycle an empty profile");
         CycleSource {
             boxes: &self.boxes,
+            pos: 0,
+        }
+    }
+
+    /// [`cycle`](Self::cycle) started at the box containing time `t` of
+    /// the cyclic profile: the box stream of `rotated_by_time(t).cycle()`,
+    /// without copying the profile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile is empty.
+    #[must_use]
+    pub fn cycle_at_time(&self, t: Io) -> CycleSource<&[Blocks]> {
+        let mut source = self.cycle();
+        // t is reduced modulo the (positive) total time, so a box exists.
+        source.pos = self.box_at_time(t % self.total_time()).unwrap_or(0);
+        source
+    }
+
+    /// The owning form of [`cycle`](Self::cycle), for a profile built per
+    /// use (one random profile per Monte-Carlo trial, say).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile is empty.
+    #[must_use]
+    pub fn into_cycle(self) -> CycleSource<Vec<Blocks>> {
+        assert!(!self.boxes.is_empty(), "cannot cycle an empty profile");
+        CycleSource {
+            boxes: self.boxes,
             pos: 0,
         }
     }
@@ -315,29 +345,31 @@ impl FromIterator<Blocks> for SquareProfile {
     }
 }
 
-/// Infinite source cycling over a finite profile. See [`SquareProfile::cycle`].
+/// Infinite source cycling over a finite profile's boxes, borrowed
+/// (`B = &[Blocks]`, [`SquareProfile::cycle`]) or owned (`B =
+/// Vec<Blocks>`, [`SquareProfile::into_cycle`]).
 #[derive(Debug, Clone)]
-pub struct CycleSource<'a> {
-    boxes: &'a [Blocks],
+pub struct CycleSource<B> {
+    boxes: B,
     pos: usize,
 }
 
-impl BoxSource for CycleSource<'_> {
+impl<B: AsRef<[Blocks]>> BoxSource for CycleSource<B> {
     fn next_box(&mut self) -> Blocks {
-        let b = self.boxes[self.pos];
-        self.pos = (self.pos + 1) % self.boxes.len();
+        let boxes = self.boxes.as_ref();
+        let b = boxes[self.pos];
+        self.pos = (self.pos + 1) % boxes.len();
         b
     }
 
     fn next_run(&mut self) -> BoxRun {
         // A maximal run of equal boxes from the current position, not
-        // crossing the cycle seam (the next call continues from there).
-        let b = self.boxes[self.pos];
-        let run = self.boxes[self.pos..]
-            .iter()
-            .take_while(|&&x| x == b)
-            .count();
-        self.pos = (self.pos + run) % self.boxes.len();
+        // crossing the end of the stored boxes (the next call continues
+        // from there).
+        let boxes = self.boxes.as_ref();
+        let b = boxes[self.pos];
+        let run = boxes[self.pos..].iter().take_while(|&&x| x == b).count();
+        self.pos = (self.pos + run) % boxes.len();
         BoxRun {
             size: b,
             repeat: crate::cast::u64_from_usize(run),
@@ -417,47 +449,6 @@ impl BoxSource for ConstantSource {
             repeat: u64::MAX,
         }
     }
-}
-
-/// Adaptor recording every box drawn from an inner source, so a run can be
-/// replayed or audited after the fact.
-#[derive(Debug)]
-pub struct RecordingSource<S> {
-    inner: S,
-    record: Vec<Blocks>,
-}
-
-impl<S: BoxSource> RecordingSource<S> {
-    /// Wrap `inner`, recording each box it emits.
-    pub fn new(inner: S) -> Self {
-        RecordingSource {
-            inner,
-            record: Vec::new(),
-        }
-    }
-
-    /// The boxes emitted so far.
-    #[must_use]
-    pub fn record(&self) -> &[Blocks] {
-        &self.record
-    }
-
-    /// Finish recording, returning the emitted prefix as a profile.
-    #[must_use]
-    pub fn into_profile(self) -> SquareProfile {
-        SquareProfile::from_boxes_unchecked(self.record)
-    }
-}
-
-impl<S: BoxSource> BoxSource for RecordingSource<S> {
-    fn next_box(&mut self) -> Blocks {
-        let b = self.inner.next_box();
-        self.record.push(b);
-        b
-    }
-    // `next_run` stays the default (runs of 1): the recorder must see every
-    // box individually, and a consumer may discard the tail of a run, which
-    // would desynchronise the recorded prefix from what was consumed.
 }
 
 // Exact float equality in tests is deliberate: outputs are required to be
@@ -559,16 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn recording_source_captures_prefix() {
-        let mut rec = RecordingSource::new(ConstantSource::new(7));
-        for _ in 0..3 {
-            let _ = rec.next_box();
-        }
-        assert_eq!(rec.record(), &[7, 7, 7]);
-        assert_eq!(rec.into_profile().boxes(), &[7, 7, 7]);
-    }
-
-    #[test]
     fn take_from_collects() {
         let mut c = ConstantSource::new(5);
         let p = SquareProfile::take_from(&mut c, 3);
@@ -643,9 +624,45 @@ mod tests {
 
     #[test]
     fn default_next_run_is_single_box() {
-        let mut rec = RecordingSource::new(ConstantSource::new(7));
-        let run = rec.next_run();
-        assert_eq!(run, BoxRun { size: 7, repeat: 1 });
-        assert_eq!(rec.record(), &[7]);
+        /// A source that implements only `next_box`.
+        struct Counting(Blocks);
+        impl BoxSource for Counting {
+            fn next_box(&mut self) -> Blocks {
+                self.0 += 1;
+                self.0
+            }
+        }
+        let mut s = Counting(6);
+        assert_eq!(s.next_run(), BoxRun { size: 7, repeat: 1 });
+        assert_eq!(s.next_run(), BoxRun { size: 8, repeat: 1 });
+    }
+
+    /// Expand `boxes` boxes of a source through a mix of run and per-box
+    /// calls (a run cut at the end is truncated).
+    fn drain_mixed<S: BoxSource>(s: &mut S, boxes: usize) -> Vec<Blocks> {
+        let mut out = Vec::new();
+        while out.len() < boxes {
+            if out.len() % 3 == 0 {
+                out.push(s.next_box());
+            } else {
+                let run = s.next_run();
+                let take = usize::try_from(run.repeat).unwrap_or(usize::MAX);
+                out.extend(std::iter::repeat_n(run.size, take.min(boxes - out.len())));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn owned_and_borrowed_cycles_agree() {
+        let p = profile(&[4, 4, 1, 9, 9, 9, 4]);
+        let borrowed = drain_mixed(&mut p.cycle(), 40);
+        let owned = drain_mixed(&mut p.clone().into_cycle(), 40);
+        assert_eq!(owned, borrowed);
+        let per_box: Vec<_> = {
+            let mut s = p.cycle();
+            (0..40).map(|_| s.next_box()).collect()
+        };
+        assert_eq!(borrowed, per_box);
     }
 }

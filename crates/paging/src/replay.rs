@@ -228,7 +228,7 @@ fn replay_cursor_into<T: TraceStream + ?Sized, C: RunCursor>(
 ///
 /// Runs are expanded box by box — trace replay inherently simulates each
 /// box's LRU cache — but the cursor is pulled one *run* at a time, so
-/// cancellation is observed at run boundaries (cursor law 4) and a
+/// cancellation is observed at run boundaries (cursor law 3) and a
 /// `u64::MAX` constant tail never materialises.
 ///
 /// A finite cursor that ends before the trace does yields

@@ -68,6 +68,22 @@ pub trait BoxDist: Send + Sync {
     }
 }
 
+/// A borrowed distribution is a distribution, so one [`DistSource`] type
+/// serves both concrete and `&dyn BoxDist` (heterogeneous list) uses.
+impl<D: BoxDist + ?Sized> BoxDist for &D {
+    fn sample(&self, rng: &mut dyn RngCore) -> Blocks {
+        (**self).sample(rng)
+    }
+
+    fn label(&self) -> String {
+        (**self).label()
+    }
+
+    fn discrete_support(&self) -> Option<Vec<(Blocks, f64)>> {
+        (**self).discrete_support()
+    }
+}
+
 /// Every box has the same size.
 #[derive(Debug, Clone, Copy)]
 pub struct PointMass {
@@ -444,47 +460,6 @@ impl<D: BoxDist, R: RngCore> BoxSource for DistSource<D, R> {
     }
 }
 
-/// A source replaying a dyn-boxed distribution (for heterogeneous
-/// experiment configs).
-pub struct DynDistSource<'a, R> {
-    dist: &'a dyn BoxDist,
-    rng: R,
-    /// One-draw lookahead buffer for run detection (see
-    /// [`run_with_lookahead`]).
-    pending: Option<Blocks>,
-}
-
-impl<R> std::fmt::Debug for DynDistSource<'_, R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DynDistSource")
-            .field("pending", &self.pending)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a, R: RngCore> DynDistSource<'a, R> {
-    /// i.i.d. boxes from `dist` using `rng`.
-    pub fn new(dist: &'a dyn BoxDist, rng: R) -> Self {
-        DynDistSource {
-            dist,
-            rng,
-            pending: None,
-        }
-    }
-}
-
-impl<R: RngCore> BoxSource for DynDistSource<'_, R> {
-    fn next_box(&mut self) -> Blocks {
-        self.pending
-            .take()
-            .unwrap_or_else(|| self.dist.sample(&mut self.rng))
-    }
-
-    fn next_run(&mut self) -> BoxRun {
-        run_with_lookahead(&mut self.pending, || self.dist.sample(&mut self.rng))
-    }
-}
-
 /// Without-replacement random reshuffle of a finite profile: one random
 /// permutation per period, a fresh permutation each time the boxes run out.
 #[derive(Debug)]
@@ -707,7 +682,7 @@ mod tests {
     #[test]
     fn dyn_dist_source_works() {
         let dist: Box<dyn BoxDist> = Box::new(PointMass { size: 3 });
-        let mut s = DynDistSource::new(dist.as_ref(), rng());
+        let mut s = DistSource::new(dist.as_ref(), rng());
         assert_eq!(s.next_box(), 3);
     }
 

@@ -1,7 +1,7 @@
 //! Multi-tenant contention scenarios as streaming cursor pipelines.
 //!
 //! The cursor combinators in `cadapt-core` (`interleave`, `throttle`,
-//! `zip_with`, `take_boxes`) are binary; real contention scenarios have N
+//! `take_boxes`) are binary; real contention scenarios have N
 //! tenants. This module supplies the N-ary generalisation —
 //! [`RoundRobin`], a fair time-slicer over boxed cursors — and the
 //! fair-share composition [`contended_round_robin`] used by experiment
@@ -64,12 +64,6 @@ impl<'a> RoundRobin<'a> {
         }
     }
 
-    /// Number of tenants (exhausted ones included).
-    #[must_use]
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Refill the current tenant's pending run; `None` marks it exhausted.
     fn fill_current(&mut self) -> Result<Option<BoxRun>, Cancelled> {
         let i = self.current;
@@ -120,25 +114,6 @@ impl RunCursor for RoundRobin<'_> {
                 }
             }
         }
-    }
-
-    fn size_hint(&self) -> (u64, Option<u64>) {
-        let mut lo: u64 = 0;
-        let mut hi: Option<u64> = Some(0);
-        for (i, tenant) in self.tenants.iter().enumerate() {
-            let pending = self.pending[i].map_or(0, |r| r.repeat);
-            let (t_lo, t_hi) = if self.done[i] {
-                (0, Some(0))
-            } else {
-                tenant.size_hint()
-            };
-            lo = lo.saturating_add(t_lo).saturating_add(pending);
-            hi = match (hi, t_hi) {
-                (Some(h), Some(t)) => Some(h.saturating_add(t).saturating_add(pending)),
-                _ => None,
-            };
-        }
-        (lo, hi)
     }
 }
 
@@ -229,17 +204,9 @@ mod tests {
     }
 
     #[test]
-    fn size_hint_sums_tenants_exactly() {
-        let rr = RoundRobin::new(vec![tenant(1, 10), tenant(2, 5)], 4);
-        assert_eq!(rr.size_hint(), (15, Some(15)));
-    }
-
-    #[test]
     fn infinite_tenant_keeps_the_scenario_unbounded() {
         let inf = Box::new(ConstantSource::new(8).into_cursor()) as Box<dyn RunCursor>;
-        let rr = RoundRobin::new(vec![inf, tenant(2, 5)], 4);
-        assert_eq!(rr.size_hint().1, None);
-        let mut rr = rr;
+        let mut rr = RoundRobin::new(vec![inf, tenant(2, 5)], 4);
         // The finite tenant drains; the infinite one keeps slicing.
         let boxes = expand(&mut rr, 20);
         assert_eq!(boxes.len(), 20);

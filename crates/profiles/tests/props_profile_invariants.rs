@@ -6,9 +6,9 @@
 //!
 //! * permutation shuffle ([`PermutationSource`]) — a without-replacement
 //!   reshuffle must emit exactly the original multiset, every cycle;
-//! * cyclic start shift ([`random_cyclic_shift`]) — a rotation must
-//!   preserve the multiset, the total time, and the box order up to
-//!   rotation;
+//! * cyclic start shift ([`random_cyclic_shift`]) — the shifted cycle
+//!   must stream a rotation of the profile, box for box the one that
+//!   rotating a copy by the same drawn time gives;
 //! * size perturbation ([`SizePerturbedSource`]) — a multiplier in [0, t]
 //!   must keep every box within [1, round(base · t)] and stay aligned
 //!   one-to-one with the inner source.
@@ -25,7 +25,7 @@ use cadapt_profiles::dist::PermutationSource;
 use cadapt_profiles::perturb::{random_cyclic_shift, SizePerturbedSource, UniformMultiplier};
 use cadapt_profiles::{sawtooth_squares, worst_case_squares, WorstCase};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn sorted(mut v: Vec<u64>) -> Vec<u64> {
@@ -60,22 +60,52 @@ proptest! {
     ) {
         let profile = SquareProfile::new(boxes.clone()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let shifted = random_cyclic_shift(&profile, &mut rng);
-        prop_assert_eq!(shifted.total_time(), profile.total_time());
-        prop_assert_eq!(
-            sorted(shifted.boxes().to_vec()),
-            sorted(boxes.clone())
-        );
-        // Stronger than multiset equality: the result is literally some
+        // Two periods: the cycle must wrap back to where it started.
+        let shifted = take(&mut random_cyclic_shift(&profile, &mut rng), 2 * boxes.len());
+        let (first, second) = shifted.split_at(boxes.len());
+        prop_assert_eq!(first, second);
+        prop_assert_eq!(sorted(first.to_vec()), sorted(boxes.clone()));
+        // Stronger than multiset equality: one period is literally some
         // rotation of the original sequence.
         let is_rotation = (0..boxes.len()).any(|k| {
             boxes[k..]
                 .iter()
                 .chain(&boxes[..k])
                 .copied()
-                .eq(shifted.boxes().iter().copied())
+                .eq(first.iter().copied())
         });
-        prop_assert!(is_rotation, "shift produced a non-rotation: {:?}", shifted.boxes());
+        prop_assert!(is_rotation, "shift produced a non-rotation: {first:?}");
+    }
+
+    #[test]
+    fn cyclic_shift_streams_the_rotated_copy(
+        boxes in proptest::collection::vec(1u64..16, 1..24),
+        seed in 0u64..1_000_000,
+        count in 1usize..120,
+    ) {
+        // The reference is the shift as it was once built: the same two
+        // draws, then a rotated copy of the profile, cycled.
+        let profile = SquareProfile::new(boxes).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut reference_rng = rng.clone();
+        let wide = (u128::from(reference_rng.next_u64()) << 64)
+            | u128::from(reference_rng.next_u64());
+        let rotated = profile.rotated_by_time(wide % profile.total_time());
+        let mut shifted = random_cyclic_shift(&profile, &mut rng);
+        let mut reference = rotated.cycle();
+        // Mix run and per-box calls; runs are cut where the count ends.
+        let mut got = Vec::new();
+        while got.len() < count {
+            let run = shifted.next_run();
+            let take = (count - got.len()).min(usize::try_from(run.repeat).unwrap_or(count));
+            got.extend(std::iter::repeat_n(run.size, take));
+            if got.len() < count {
+                got.push(shifted.next_box());
+            }
+        }
+        prop_assert_eq!(got, take(&mut reference, count));
+        // Both consumed the same words of the trial's stream.
+        prop_assert_eq!(rng.next_u64(), reference_rng.next_u64());
     }
 
     #[test]

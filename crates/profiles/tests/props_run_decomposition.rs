@@ -71,7 +71,7 @@ fn perturbed<M: MultiplierDist>(
     p: &SquareProfile,
     mult: M,
     seed: u64,
-) -> SizePerturbedSource<CycleSource<'_>, M, ChaCha8Rng> {
+) -> SizePerturbedSource<CycleSource<&[Blocks]>, M, ChaCha8Rng> {
     SizePerturbedSource::new(p.cycle(), mult, ChaCha8Rng::seed_from_u64(seed))
 }
 

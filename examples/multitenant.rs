@@ -11,7 +11,6 @@
 
 use cadapt::prelude::*;
 use cadapt::profiles::contention::multi_tenant;
-use cadapt_analysis::montecarlo::trial_rng;
 
 fn main() {
     let params = AbcParams::mm_scan();
@@ -25,10 +24,13 @@ fn main() {
         let n = params.canonical_size(k);
 
         // Multi-tenant: total cache 2n shared fairly among 1..8 tenants,
-        // churning every n/4 I/Os.
-        let mut stats = Stats::new();
-        for trial in 0..16u64 {
-            let mut rng = trial_rng(0xBEEF, trial);
+        // churning every n/4 I/Os; every trial cycles its own profile.
+        let config = McConfig {
+            trials: 16,
+            seed: 0xBEEF,
+            ..McConfig::default()
+        };
+        let stats = monte_carlo_ratio(params, n, &config, |mut rng| {
             let profile = multi_tenant(
                 2 * n,
                 8,
@@ -37,12 +39,10 @@ fn main() {
                 32 * u128::from(n),
                 &mut rng,
             );
-            let squares = profile.inner_squares();
-            let mut source = squares.cycle();
-            let report = run_on_profile(params, n, &mut source, &RunConfig::default())
-                .expect("run completes");
-            stats.push(report.ratio());
-        }
+            profile.inner_squares().into_cycle()
+        })
+        .expect("runs complete")
+        .ratio;
 
         // The tailored adversary over the same size range.
         let worst = WorstCase::for_problem(&params, n).expect("canonical size");

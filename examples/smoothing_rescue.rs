@@ -18,23 +18,25 @@ use cadapt::profiles::perturb::{
     random_cyclic_shift, BoxOrderPerturbedSource, RandomPlacement, SizePerturbedSource,
     UniformMultiplier,
 };
-use cadapt_analysis::montecarlo::trial_rng;
+use rand_chacha::ChaCha8Rng;
 
 const TRIALS: u64 = 24;
 
-fn mean_ratio(
+/// Mean ratio over `TRIALS` trials whose profiles `make` draws from
+/// streams of `seed`.
+fn mean_ratio<S: BoxSource>(
     params: AbcParams,
     n: Blocks,
-    mut make: impl FnMut(u64) -> Box<dyn BoxSource>,
-) -> (f64, f64) {
-    let mut stats = Stats::new();
-    for trial in 0..TRIALS {
-        let mut source = make(trial);
-        let report =
-            run_on_profile(params, n, &mut source, &RunConfig::default()).expect("run completes");
-        stats.push(report.ratio());
-    }
-    (stats.mean, stats.ci95())
+    seed: u64,
+    make: impl Fn(ChaCha8Rng) -> S + Sync,
+) -> f64 {
+    let config = McConfig {
+        trials: TRIALS,
+        seed,
+        ..McConfig::default()
+    };
+    let summary = monte_carlo_ratio(params, n, &config, make).expect("runs complete");
+    summary.ratio.mean
 }
 
 fn main() {
@@ -49,51 +51,43 @@ fn main() {
     for &n in &sizes {
         let worst = WorstCase::for_problem(&params, n).expect("canonical size");
         let profile = worst.materialize();
-        let multiset = worst.box_multiset();
+        let multiset = EmpiricalMultiset::from_counts(&worst.box_multiset(), "iid");
 
-        let entries: Vec<(&str, (f64, f64))> = vec![
+        let entries: Vec<(&str, f64)> = vec![
             ("none (canonical order)", {
                 let mut source = worst.source();
                 let r = run_on_profile(params, n, &mut source, &RunConfig::default())
                     .expect("run completes");
-                (r.ratio(), 0.0)
+                r.ratio()
             }),
-            ("iid reshuffle (Thm 1)", {
-                let dist = EmpiricalMultiset::from_counts(&multiset, "iid");
-                mean_ratio(params, n, |t| {
-                    Box::new(DistSource::new(dist.clone(), trial_rng(1, t)))
-                })
-            }),
-            ("random permutation", {
-                mean_ratio(params, n, |t| {
-                    Box::new(PermutationSource::new(&profile, trial_rng(2, t)))
-                })
-            }),
-            ("box sizes x U[0,2]", {
-                mean_ratio(params, n, |t| {
-                    Box::new(SizePerturbedSource::new(
-                        worst.source(),
-                        UniformMultiplier { t: 2.0 },
-                        trial_rng(3, t),
-                    ))
-                })
-            }),
-            ("random start shift", {
-                mean_ratio(params, n, |t| {
-                    let mut rng = trial_rng(4, t);
-                    Box::new(OwnedCycle::new(random_cyclic_shift(&profile, &mut rng)))
-                })
-            }),
-            ("random big-box placement", {
-                mean_ratio(params, n, |t| {
-                    Box::new(BoxOrderPerturbedSource::new(
-                        worst,
-                        RandomPlacement(trial_rng(5, t)),
-                    ))
-                })
-            }),
+            (
+                "iid reshuffle (Thm 1)",
+                mean_ratio(params, n, 1, |rng| DistSource::new(multiset.clone(), rng)),
+            ),
+            (
+                "random permutation",
+                mean_ratio(params, n, 2, |rng| PermutationSource::new(&profile, rng)),
+            ),
+            (
+                "box sizes x U[0,2]",
+                mean_ratio(params, n, 3, |rng| {
+                    SizePerturbedSource::new(worst.source(), UniformMultiplier { t: 2.0 }, rng)
+                }),
+            ),
+            (
+                "random start shift",
+                mean_ratio(params, n, 4, |mut rng| {
+                    random_cyclic_shift(&profile, &mut rng)
+                }),
+            ),
+            (
+                "random big-box placement",
+                mean_ratio(params, n, 5, |rng| {
+                    BoxOrderPerturbedSource::new(worst, RandomPlacement(rng))
+                }),
+            ),
         ];
-        for (label, (mean, _ci)) in entries {
+        for (label, mean) in entries {
             match rows.iter_mut().find(|(l, _)| l == label) {
                 Some((_, values)) => values.push(mean),
                 None => rows.push((label.to_string(), vec![mean])),
@@ -120,27 +114,4 @@ fn main() {
     println!("Only destroying the box ORDER closes the gap. Noise in sizes or");
     println!("start time leaves enough structure for the algorithm to re-sync");
     println!("with the adversary (the paper's No-Catch-up machinery at work).");
-}
-
-/// Owning variant of `SquareProfile::cycle` for boxed sources.
-struct OwnedCycle {
-    boxes: Vec<Blocks>,
-    pos: usize,
-}
-
-impl OwnedCycle {
-    fn new(profile: SquareProfile) -> Self {
-        OwnedCycle {
-            boxes: profile.into_boxes(),
-            pos: 0,
-        }
-    }
-}
-
-impl BoxSource for OwnedCycle {
-    fn next_box(&mut self) -> Blocks {
-        let b = self.boxes[self.pos];
-        self.pos = (self.pos + 1) % self.boxes.len();
-        b
-    }
 }

@@ -5,27 +5,30 @@
 // Exact float equality is deliberate: outputs must be bit-identical.
 #![allow(clippy::float_cmp)]
 
-use cadapt::analysis::montecarlo::trial_rng;
 use cadapt::prelude::*;
 use cadapt::profiles::dist::PermutationSource;
 use cadapt::profiles::perturb::{random_cyclic_shift, SizePerturbedSource, UniformMultiplier};
 
-fn mean_ratio_series<F>(
+/// `trials` Monte-Carlo trials from stream `seed`.
+fn mc(trials: u64, seed: u64) -> McConfig {
+    McConfig {
+        trials,
+        seed,
+        ..McConfig::default()
+    }
+}
+
+/// (log_b n, mean ratio) at each canonical size, the mean from
+/// `mean_at(n)`.
+fn mean_ratio_series(
     params: AbcParams,
     ks: std::ops::RangeInclusive<u32>,
-    mut run_one: F,
-) -> Vec<(f64, f64)>
-where
-    F: FnMut(u64, u64) -> f64, // (n, trial) -> ratio
-{
+    mean_at: impl Fn(u64) -> f64,
+) -> Vec<(f64, f64)> {
     let b = params.b() as f64;
     ks.map(|k| {
         let n = params.canonical_size(k);
-        let mut stats = Stats::new();
-        for trial in 0..16u64 {
-            stats.push(run_one(n, trial));
-        }
-        ((n as f64).ln() / b.ln(), stats.mean)
+        ((n as f64).ln() / b.ln(), mean_at(n))
     })
     .collect()
 }
@@ -50,13 +53,8 @@ fn iid_smoothing_is_constant_for_diverse_sigmas() {
                 // 64 trials per point: the increment-trend rule in
                 // classify_growth sits near its threshold for converging
                 // series, and 24 trials leaves enough noise to flip it.
-                let config = McConfig {
-                    trials: 64,
-                    seed: 11,
-                    ..McConfig::default()
-                };
-                let summary = monte_carlo_ratio(params, n, &config, |rng| {
-                    cadapt::profiles::dist::DynDistSource::new(dist.as_ref(), rng)
+                let summary = monte_carlo_ratio(params, n, &mc(64, 11), |rng| {
+                    DistSource::new(dist.as_ref(), rng)
                 })
                 .unwrap();
                 points.push((f64::from(k), summary.ratio.mean));
@@ -89,13 +87,10 @@ fn shuffling_the_adversary_beats_the_adversary() {
             .ratio()
     };
     let dist = EmpiricalMultiset::from_counts(&worst.box_multiset(), "shuffled");
-    let config = McConfig {
-        trials: 32,
-        seed: 7,
-        ..McConfig::default()
-    };
-    let shuffled =
-        monte_carlo_ratio(params, n, &config, |rng| DistSource::new(dist.clone(), rng)).unwrap();
+    let shuffled = monte_carlo_ratio(params, n, &mc(32, 7), |rng| {
+        DistSource::new(dist.clone(), rng)
+    })
+    .unwrap();
     assert!((canonical - 8.0).abs() < 1e-9);
     assert!(
         shuffled.ratio.mean < 3.0,
@@ -113,20 +108,16 @@ fn permutation_matches_iid_within_noise() {
     let n = params.canonical_size(6);
     let worst = WorstCase::for_problem(&params, n).unwrap();
     let profile = worst.materialize();
-    let mut perm_stats = Stats::new();
-    for trial in 0..24u64 {
-        let mut source = PermutationSource::new(&profile, trial_rng(21, trial));
-        let report = run_on_profile(params, n, &mut source, &RunConfig::default()).unwrap();
-        perm_stats.push(report.ratio());
-    }
+    let perm_stats = monte_carlo_ratio(params, n, &mc(24, 21), |rng| {
+        PermutationSource::new(&profile, rng)
+    })
+    .unwrap()
+    .ratio;
     let dist = EmpiricalMultiset::from_counts(&worst.box_multiset(), "iid");
-    let config = McConfig {
-        trials: 24,
-        seed: 22,
-        ..McConfig::default()
-    };
-    let iid =
-        monte_carlo_ratio(params, n, &config, |rng| DistSource::new(dist.clone(), rng)).unwrap();
+    let iid = monte_carlo_ratio(params, n, &mc(24, 22), |rng| {
+        DistSource::new(dist.clone(), rng)
+    })
+    .unwrap();
     let diff = (perm_stats.mean - iid.ratio.mean).abs();
     let tolerance = 4.0 * (perm_stats.ci95() + iid.ratio.ci95()) + 0.25;
     assert!(
@@ -142,16 +133,14 @@ fn permutation_matches_iid_within_noise() {
 #[test]
 fn size_noise_does_not_rescue() {
     let params = AbcParams::mm_scan();
-    let points = mean_ratio_series(params, 3..=6, |n, trial| {
+    let points = mean_ratio_series(params, 3..=6, |n| {
         let worst = WorstCase::for_problem(&params, n).unwrap();
-        let mut source = SizePerturbedSource::new(
-            worst.source(),
-            UniformMultiplier { t: 2.0 },
-            trial_rng(31, trial),
-        );
-        run_on_profile(params, n, &mut source, &RunConfig::default())
-            .unwrap()
-            .ratio()
+        monte_carlo_ratio(params, n, &mc(16, 31), |rng| {
+            SizePerturbedSource::new(worst.source(), UniformMultiplier { t: 2.0 }, rng)
+        })
+        .unwrap()
+        .ratio
+        .mean
     });
     for w in points.windows(2) {
         assert!(w[1].1 > w[0].1 + 0.3, "growth stalled: {points:?}");
@@ -163,15 +152,14 @@ fn size_noise_does_not_rescue() {
 #[test]
 fn start_shift_does_not_rescue() {
     let params = AbcParams::mm_scan();
-    let points = mean_ratio_series(params, 3..=6, |n, trial| {
-        let worst = WorstCase::for_problem(&params, n).unwrap();
-        let profile = worst.materialize();
-        let mut rng = trial_rng(41, trial);
-        let shifted = random_cyclic_shift(&profile, &mut rng);
-        let mut source = shifted.cycle();
-        run_on_profile(params, n, &mut source, &RunConfig::default())
-            .unwrap()
-            .ratio()
+    let points = mean_ratio_series(params, 3..=6, |n| {
+        let profile = WorstCase::for_problem(&params, n).unwrap().materialize();
+        monte_carlo_ratio(params, n, &mc(16, 41), |mut rng| {
+            random_cyclic_shift(&profile, &mut rng)
+        })
+        .unwrap()
+        .ratio
+        .mean
     });
     // With 16 trials the series is noisy; assert sustained growth
     // directly: total rise of at least half the canonical slope.
@@ -190,12 +178,7 @@ fn monte_carlo_is_seed_deterministic() {
     let params = AbcParams::co_dp();
     let n = params.canonical_size(8);
     let run = |seed| {
-        let config = McConfig {
-            trials: 16,
-            seed,
-            ..McConfig::default()
-        };
-        monte_carlo_ratio(params, n, &config, |rng| {
+        monte_carlo_ratio(params, n, &mc(16, seed), |rng| {
             DistSource::new(PowerOfB::new(2, 0, 8), rng)
         })
         .unwrap()

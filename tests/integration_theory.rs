@@ -32,7 +32,7 @@ fn recurrence_brackets_measurement() {
                 ..McConfig::default()
             };
             let summary = monte_carlo_ratio(params, n, &config, |rng| {
-                cadapt::profiles::dist::DynDistSource::new(dist.as_ref(), rng)
+                DistSource::new(dist.as_ref(), rng)
             })
             .unwrap();
             let rb = &bounds[k as usize];
