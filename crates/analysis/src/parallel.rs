@@ -45,7 +45,7 @@
 //! either go through these entry points or extend the engine here.
 
 use cadapt_core::cast;
-use cadapt_core::counters::{Recording, SharedCounters};
+use cadapt_core::counters::{CounterSnapshot, Recording};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::convert::Infallible;
@@ -134,8 +134,10 @@ impl<E: fmt::Display> fmt::Display for SweepError<E> {
 
 impl<E: fmt::Debug + fmt::Display> std::error::Error for SweepError<E> {}
 
-/// Render a caught panic payload as text.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Render a caught panic payload as text: `&str` and `String` payloads
+/// verbatim, anything else summarised.
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -185,9 +187,10 @@ where
 
 /// Run [`claim_trials`] on `threads` scoped workers sharing one trial
 /// counter and stop flag, and merge their hauls: values sorted by trial,
-/// and the failure with the smallest trial index. The workers' counter
-/// totals are folded into the caller's open [`Recording`] (a per-trial
-/// sum, hence schedule-independent), on the error path too.
+/// and the failure with the smallest trial index. Each worker hands back
+/// its own counter snapshot with its haul; their sum is folded into the
+/// caller's open [`Recording`] (a per-trial sum, hence
+/// schedule-independent), on the error path too.
 fn spawn_workers<T, E, F>(trials: u64, threads: usize, run: &F) -> Haul<T, E>
 where
     T: Send,
@@ -196,24 +199,21 @@ where
 {
     let next_trial = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
-    let shared_counters = SharedCounters::new();
-    let hauls: Vec<Haul<T, E>> = std::thread::scope(|scope| {
+    let workers: Vec<(CounterSnapshot, Haul<T, E>)> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
             let next = &next_trial;
             let stop = &stop;
-            let counters = &shared_counters;
             handles.push(scope.spawn(move || {
                 let recording = Recording::start();
                 let haul = claim_trials(trials, run, next, stop);
-                counters.add(&recording.finish());
-                haul
+                (recording.finish(), haul)
             }));
         }
         handles
             .into_iter()
             .map(|h| match h.join() {
-                Ok(haul) => haul,
+                Ok(worker) => worker,
                 // Workers catch trial panics themselves; a panic escaping a
                 // worker means the engine's own bookkeeping is broken.
                 // cadapt-lint: allow(panic-reach) -- engine-internal invariant: worker bodies cannot unwind past catch_unwind
@@ -224,16 +224,18 @@ where
             })
             .collect()
     });
-    cadapt_core::counters::count_snapshot(&shared_counters.snapshot());
+    let mut counters = CounterSnapshot::ZERO;
     let mut done: Vec<(u64, T)> = Vec::new();
     let mut first_failure: Option<SweepError<E>> = None;
-    for (values, failure) in hauls {
+    for (worker_counters, (values, failure)) in workers {
+        counters = counters.plus(worker_counters);
         done.extend(values);
         first_failure = first_failure
             .into_iter()
             .chain(failure)
             .min_by_key(SweepError::trial);
     }
+    cadapt_core::counters::count_snapshot(&counters);
     done.sort_unstable_by_key(|&(trial, _)| trial);
     (done, first_failure)
 }

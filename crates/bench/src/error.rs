@@ -32,13 +32,6 @@ pub enum BenchError {
     Core(CoreError),
     /// An execution failed (bad problem size, box budget exhausted).
     Run(RunError),
-    /// A [`CancelToken`](cadapt_core::CancelToken) fired and the pipeline
-    /// stopped cooperatively at a run boundary. Not a bug: the separate
-    /// exit code lets wrappers distinguish "asked to stop" from "failed".
-    Cancelled {
-        /// Boxes fully consumed before cancellation was observed.
-        after_boxes: u64,
-    },
     /// A Monte-Carlo trial's execution failed, keyed by the offending
     /// trial (a trial panic becomes [`BenchError::Panicked`] instead).
     Mc(McError),
@@ -104,12 +97,10 @@ impl BenchError {
     /// Map the failure onto the process exit code contract (see DESIGN.md's
     /// failure model): 0 success, 1 semantic failure (experiment error,
     /// check mismatch), 2 usage, 3 filesystem, 4 untrusted data (corrupt
-    /// artifact, bad golden, unusable checkpoint), 5 isolated panic,
-    /// 6 cooperative cancellation.
+    /// artifact, bad golden, unusable checkpoint), 5 isolated panic.
     ///
     /// No error maps to 0, and every variant without a code of its own is a
-    /// semantic failure (1). Cancellation is a fired
-    /// [`CancelToken`](cadapt_core::CancelToken), not a failure.
+    /// semantic failure (1).
     #[must_use]
     pub fn exit_code(&self) -> u8 {
         match self {
@@ -120,7 +111,6 @@ impl BenchError {
             | BenchError::Golden { .. }
             | BenchError::Checkpoint { .. } => 4,
             BenchError::Panicked { .. } => 5,
-            BenchError::Cancelled { .. } => 6,
             BenchError::Core(_)
             | BenchError::Run(_)
             | BenchError::Mc(_)
@@ -163,9 +153,6 @@ impl fmt::Display for BenchError {
             BenchError::Usage(msg) => write!(f, "usage error: {msg}"),
             BenchError::Core(e) => write!(f, "model error: {e}"),
             BenchError::Run(e) => write!(f, "execution error: {e}"),
-            BenchError::Cancelled { after_boxes } => {
-                write!(f, "cancelled after {after_boxes} boxes")
-            }
             BenchError::Mc(e) => write!(f, "monte-carlo error: {e}"),
             BenchError::Panicked {
                 context,
@@ -221,23 +208,13 @@ impl From<CoreError> for BenchError {
 
 impl From<RunError> for BenchError {
     fn from(e: RunError) -> BenchError {
-        match e {
-            // Cooperative cancellation is a control-flow outcome, not an
-            // execution failure; normalise it so every entry point maps a
-            // fired token to the same typed error and exit code.
-            RunError::Cancelled { after_boxes } => BenchError::Cancelled { after_boxes },
-            other => BenchError::Run(other),
-        }
+        BenchError::Run(e)
     }
 }
 
 impl From<McError> for BenchError {
     fn from(e: McError) -> BenchError {
         match e {
-            McError::Run {
-                error: RunError::Cancelled { after_boxes },
-                ..
-            } => BenchError::Cancelled { after_boxes },
             // An isolated trial panic keeps its own exit code (5) whichever
             // sweep it came from.
             McError::Panic(p) => BenchError::from_trial_panic("monte-carlo sweep", p),
@@ -315,25 +292,6 @@ mod tests {
             1
         );
         assert_eq!(BenchError::invariant("x").exit_code(), 1);
-        assert_eq!(BenchError::Cancelled { after_boxes: 9 }.exit_code(), 6);
-    }
-
-    #[test]
-    fn cancellation_normalises_from_every_entry_point() {
-        // A fired token reaches main as the same typed error whether it
-        // surfaced from a direct run or from inside a Monte-Carlo trial.
-        let direct: BenchError = RunError::Cancelled { after_boxes: 17 }.into();
-        let via_mc: BenchError = McError::Run {
-            trial: 3,
-            error: RunError::Cancelled { after_boxes: 17 },
-        }
-        .into();
-        assert_eq!(direct, BenchError::Cancelled { after_boxes: 17 });
-        assert_eq!(via_mc, direct);
-        assert!(direct.to_string().contains("cancelled after 17 boxes"));
-        // Non-cancellation errors still take their original variants.
-        let plain: BenchError = RunError::BoxBudgetExhausted { max_boxes: 2 }.into();
-        assert!(matches!(plain, BenchError::Run(_)));
     }
 
     #[test]

@@ -104,20 +104,8 @@ fn check_equal<T: PartialEq + std::fmt::Debug>(
 /// Any batched-vs-streaming disagreement during validation, a wrong typed
 /// outcome from the drivers, or (when metered) a peak-heap ceiling breach
 /// is reported as a typed failure.
-pub fn run(scale: Scale) -> Result<E16Result, BenchError> {
-    run_cancellable(scale, &CancelToken::new())
-}
-
-/// Run E16 under an external [`CancelToken`]: the at-scale drive observes
-/// the token between runs, so firing it from another thread (or the CLI's
-/// `--cancel-after` watcher) aborts the stream with the typed
-/// [`BenchError::Cancelled`] outcome instead of running to the target.
-///
-/// # Errors
-///
-/// As [`run`], plus [`BenchError::Cancelled`] when `token` fires.
 #[allow(clippy::too_many_lines)]
-pub fn run_cancellable(scale: Scale, token: &CancelToken) -> Result<E16Result, BenchError> {
+pub fn run(scale: Scale) -> Result<E16Result, BenchError> {
     let mm = AbcParams::mm_scan();
     let config = RunConfig::default();
     let mut validation_table = Table::new(
@@ -244,9 +232,7 @@ pub fn run_cancellable(scale: Scale, token: &CancelToken) -> Result<E16Result, B
             Box::new(tooth.cycle().into_cursor()),
             Box::new(ConstantSource::new(TOTAL_CACHE).into_cursor()),
         ];
-        let mut pipeline = contended_round_robin(tenants, CHUNK, TOTAL_CACHE)
-            .take_boxes(target)
-            .cancellable(token.clone());
+        let mut pipeline = contended_round_robin(tenants, CHUNK, TOTAL_CACHE).take_boxes(target);
         match run_cursor_on_profile(mm, huge_n, &mut pipeline, &config) {
             Err(e) => Ok(e),
             Ok(report) => Err(BenchError::invariant(format!(
@@ -261,11 +247,6 @@ pub fn run_cancellable(scale: Scale, token: &CancelToken) -> Result<E16Result, B
     let _ = run_cursor_on_profile(mm, huge_n, &mut warmup, &config);
     let (outcome, peak_heap_bytes) = crate::alloc_meter::measure_peak_growth(drive);
     let outcome = outcome?;
-    if let RunError::Cancelled { after_boxes } = outcome {
-        // The external token fired mid-stream: surface the typed outcome
-        // (exit code 6) rather than an invariant failure.
-        return Err(BenchError::Cancelled { after_boxes });
-    }
     if outcome
         != (RunError::ProfileExhausted {
             after_boxes: target,
@@ -336,16 +317,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn external_token_cancels_the_scale_drive_with_the_typed_outcome() {
-        let token = CancelToken::new();
-        token.cancel();
-        match run_cancellable(Scale::Quick, &token) {
-            Err(BenchError::Cancelled { after_boxes: 0 }) => {}
-            other => panic!("expected Cancelled after 0 boxes, got {other:?}"),
-        }
-    }
-
     #[cfg(feature = "count-alloc")]
     #[test]
     fn metered_builds_report_a_peak_under_the_ceiling() {
@@ -370,7 +341,7 @@ impl crate::harness::Experiment for Exp {
         true // pure functions of deterministic pipelines
     }
     fn run(&self, ctx: crate::ExpCtx) -> Result<crate::harness::ExperimentOutput, BenchError> {
-        let result = run_cancellable(ctx.scale, &ctx.cancel)?;
+        let result = run(ctx.scale)?;
         let metrics = vec![
             crate::harness::metric("validation/checks", result.checks as f64),
             crate::harness::metric("scale/boxes_streamed", result.boxes_streamed as f64),

@@ -42,6 +42,7 @@ use crate::experiments::{
     e8_trace_validation, e9_taxonomy,
 };
 use crate::ExpCtx;
+use cadapt_analysis::parallel::panic_message;
 use cadapt_core::counters::Recording;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -129,7 +130,7 @@ pub fn run_record_resilient(exp: &dyn Experiment, ctx: ExpCtx) -> (RunRecord, Op
         Err(BenchError::Panicked {
             context: format!("experiment {}", exp.id()),
             trial: None,
-            message: panic_text(payload.as_ref()),
+            message: panic_message(payload.as_ref()),
         })
     });
     let counters = recording.finish();
@@ -156,16 +157,6 @@ pub fn run_record_resilient(exp: &dyn Experiment, ctx: ExpCtx) -> (RunRecord, Op
         complete: failure.is_none(),
     };
     (record, failure)
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 #[cfg(test)]

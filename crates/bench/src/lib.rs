@@ -27,22 +27,17 @@ pub mod harness;
 
 pub use error::BenchError;
 
-/// Execution context handed to every registered experiment: the scale,
-/// the worker-thread budget for the experiment's internal trial fan-out
-/// (0 = available parallelism), and the run's cooperative
-/// [`CancelToken`](cadapt_core::CancelToken). Results are bit-identical
-/// at any thread count — see the determinism contract in
+/// Execution context handed to every registered experiment: the scale
+/// and the worker-thread budget for the experiment's internal trial
+/// fan-out (0 = available parallelism). Results are bit-identical at any
+/// thread count — see the determinism contract in
 /// `cadapt_analysis::parallel` — so the budget only moves wall time.
-/// Cursor-driven experiments observe the token between runs and surface a
-/// fired one as [`BenchError::Cancelled`] (exit code 6).
 #[derive(Debug, Clone)]
 pub struct ExpCtx {
     /// How big to run.
     pub scale: Scale,
     /// Worker threads for trial fan-out (0 = available parallelism).
     pub threads: usize,
-    /// Cooperative cancellation flag shared with the CLI's watcher.
-    pub cancel: cadapt_core::CancelToken,
 }
 
 impl ExpCtx {
@@ -55,18 +50,7 @@ impl ExpCtx {
     /// Context with an explicit worker budget.
     #[must_use]
     pub fn with_threads(scale: Scale, threads: usize) -> ExpCtx {
-        ExpCtx {
-            scale,
-            threads,
-            cancel: cadapt_core::CancelToken::new(),
-        }
-    }
-
-    /// Replace the cancellation token (builder style).
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: cadapt_core::CancelToken) -> ExpCtx {
-        self.cancel = cancel;
-        self
+        ExpCtx { scale, threads }
     }
 }
 

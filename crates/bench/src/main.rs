@@ -3,7 +3,7 @@
 //! ```text
 //! cadapt-bench list
 //! cadapt-bench run    [--exp e1,e2,…] [--size quick|full] [--threads N] [--out DIR]
-//!                     [--checkpoint-every N] [--resume] [--cancel-after MS]
+//!                     [--checkpoint-every N] [--resume]
 //! cadapt-bench check  [--exp e1,e2,…] [--size quick|full] [--threads N] [--golden DIR]
 //! cadapt-bench faults [--seed N] [--cases N] [--out FILE]
 //! ```
@@ -23,15 +23,9 @@
 //! it vouches for, reuses the verified ones byte-for-byte, and re-runs
 //! the rest. Checkpointed records canonicalize `wall_ms` to 0 so a killed
 //! and resumed run's final records are **byte-identical** to an
-//! uninterrupted checkpointed run's. Both flags require `--out`.
-//!
-//! `--cancel-after MS` arms a watcher thread that fires the run's
-//! cooperative [`CancelToken`](cadapt_core::CancelToken) after MS
-//! milliseconds (0 fires it before any experiment starts). Cursor-driven
-//! experiments observe the token between runs and stop with the typed
-//! `cancelled after N boxes` outcome (exit code 6); completed records
-//! already persisted stay valid, so a cancelled checkpointed run resumes
-//! with `--resume` and finishes byte-identical to an uninterrupted one.
+//! uninterrupted checkpointed run's. Both flags require `--out`. Killing
+//! the process and re-running with `--resume` is the way to interrupt a
+//! run: the manifest only ever vouches for complete records.
 //!
 //! `check` re-runs the selected experiments and compares each against the
 //! committed record in the golden directory (default `tests/golden`) under
@@ -58,7 +52,7 @@
 //! Exit codes (see DESIGN.md's failure model): 0 success, 1 semantic
 //! failure (experiment error, check mismatch), 2 usage, 3 filesystem,
 //! 4 untrusted data (corrupt artifact, bad golden, unusable checkpoint),
-//! 5 isolated panic, 6 cooperative cancellation.
+//! 5 isolated panic.
 
 use cadapt_analysis::parallel::{resolve_threads, run_indexed};
 
@@ -99,9 +93,6 @@ options:
                            completed experiments (requires --out)
   --resume                 run only: reuse verified records from a previous
                            checkpointed run in --out; implies checkpointing
-  --cancel-after MS        run only: fire the cooperative cancel token after
-                           MS milliseconds (0 = before any experiment);
-                           cancelled runs exit 6 and resume cleanly
   --seed N                 faults only: suite seed (default 7)
   --cases N                faults only: fault plans to run (default 16)
 ";
@@ -114,7 +105,6 @@ struct Options {
     golden: PathBuf,
     checkpoint_every: Option<u64>,
     resume: bool,
-    cancel_after_ms: Option<u64>,
     seed: u64,
     cases: u64,
 }
@@ -132,7 +122,6 @@ fn parse_options(args: &[String]) -> Result<Options, BenchError> {
         golden: PathBuf::from("tests/golden"),
         checkpoint_every: None,
         resume: false,
-        cancel_after_ms: None,
         seed: 7,
         cases: 16,
     };
@@ -173,10 +162,6 @@ fn parse_options(args: &[String]) -> Result<Options, BenchError> {
                 options.checkpoint_every = Some(every);
             }
             "--resume" => options.resume = true,
-            "--cancel-after" => {
-                let text = value("--cancel-after")?;
-                options.cancel_after_ms = Some(number("--cancel-after", &text)?);
-            }
             "--seed" => {
                 let text = value("--seed")?;
                 options.seed = number("--seed", &text)?;
@@ -337,28 +322,11 @@ fn cmd_run(options: &Options) -> Result<(), BenchError> {
         _ => None,
     };
     let (shards, inner) = shard_plan(options.threads, experiments.len());
-    // One token for the whole run. The watcher fires it from its own
-    // thread; cursor-driven experiments observe it between runs and stop
-    // with the typed outcome. MS = 0 fires inline so tests get a
-    // deterministic "cancelled before the first box" ordering.
-    let cancel = cadapt_core::CancelToken::new();
-    if let Some(ms) = options.cancel_after_ms {
-        if ms == 0 {
-            cancel.cancel();
-        } else {
-            let token = cancel.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-                token.cancel();
-            });
-        }
-        eprintln!("[cadapt-bench] cancellation watcher armed: {ms} ms");
-    }
     // Tables are buffered in the records and printed in registry order
     // after the fan-out, so sharding never interleaves stdout. Each job
     // persists its own record the moment it completes — a kill mid-suite
     // loses at most the in-flight experiments.
-    let base_ctx = ExpCtx::with_threads(scale, inner).with_cancel(cancel.clone());
+    let base_ctx = ExpCtx::with_threads(scale, inner);
     let outcomes: Vec<JobOutcome> = run_indexed(experiments.len(), shards, |i| {
         run_job(i, experiments[i], &base_ctx, out, ckpt.as_ref(), &recovered)
     });
@@ -497,5 +465,72 @@ fn main() -> ExitCode {
             }
             ExitCode::from(e.exit_code())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cadapt_bench::harness::ExperimentOutput;
+    use serde_json::Value;
+
+    /// An experiment that always returns a typed error.
+    struct Failing;
+
+    impl harness::Experiment for Failing {
+        fn id(&self) -> &'static str {
+            "failing"
+        }
+        fn title(&self) -> &'static str {
+            "always returns a typed error"
+        }
+        fn deterministic(&self) -> bool {
+            true
+        }
+        fn run(&self, _ctx: ExpCtx) -> Result<ExperimentOutput, BenchError> {
+            Err(BenchError::invariant("injected typed failure"))
+        }
+    }
+
+    #[test]
+    fn the_manifest_never_vouches_for_an_incomplete_record() {
+        let dir = std::env::temp_dir().join(format!("cadapt-run-job-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let scale = Scale::Quick.name();
+        let ids = vec!["failing".to_string()];
+        // Flushing after every job puts a vouched job in the manifest at once.
+        let ckpt = Checkpointer::new(&dir, scale, ids.clone(), 1);
+        let outcome = run_job(
+            0,
+            &Failing,
+            &ExpCtx::with_threads(Scale::Quick, 1),
+            Some(&dir),
+            Some(&ckpt),
+            &Recovered::new(),
+        );
+        assert!(
+            matches!(outcome.error, Some(BenchError::Invariant { .. })),
+            "{:?}",
+            outcome.error
+        );
+        ckpt.flush(&FsWriter).unwrap();
+
+        // The record is on disk and says it is incomplete.
+        let text = std::fs::read_to_string(dir.join("failing.json")).unwrap();
+        let record = RunRecord::from_json(&text).unwrap();
+        assert!(!record.complete);
+        assert!(record.tables.concat().contains("injected typed failure"));
+
+        // The flushed manifest vouches for no job, so a resume reuses
+        // nothing and re-runs the experiment.
+        let manifest = store::read_envelope(&checkpoint::manifest_path(&dir)).unwrap();
+        let manifest = manifest.as_object().unwrap();
+        for key in ["completed_jobs", "records"] {
+            let vouched = manifest.get(key).and_then(Value::as_array).map(<[_]>::len);
+            assert_eq!(vouched, Some(0), "{key}: {manifest:?}");
+        }
+        assert!(checkpoint::resume(&dir, scale, &ids).unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

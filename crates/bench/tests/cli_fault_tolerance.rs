@@ -134,9 +134,11 @@ fn check_against_mislabelled_golden_exits_4() {
 #[test]
 fn usage_errors_exit_2_with_usage_text() {
     // Retired commands (the job daemon's, the old `perf` suite) and
-    // options are refused like any other unknown name.
-    let cases: [(&[&str], &str); 5] = [
+    // options (the job daemon's fault target, `run --cancel-after`) are
+    // refused like any other unknown name.
+    let cases: [(&[&str], &str); 6] = [
         (&["run", "--no-such-flag"], "unknown option"),
+        (&["run", "--cancel-after", "0"], "unknown option"),
         (
             &[
                 "request",

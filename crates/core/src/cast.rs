@@ -27,14 +27,6 @@ pub fn usize_from_u64(x: u64) -> usize {
     usize::try_from(x).expect("u64 value exceeds usize on this platform")
 }
 
-/// `u128 → usize`, panicking if the value does not fit.
-#[inline]
-#[must_use]
-pub fn usize_from_u128(x: u128) -> usize {
-    // cadapt-lint: allow(panic-reach) -- cast helpers centralise the deliberate overflow panics
-    usize::try_from(x).expect("u128 value exceeds usize on this platform")
-}
-
 /// `u32 → usize`, panicking on (hypothetical 16-bit) platforms where it
 /// cannot fit. A no-op on 32- and 64-bit targets.
 #[inline]
@@ -128,14 +120,6 @@ pub fn checked_u32_from_u128(x: u128) -> Option<u32> {
     u32::try_from(x).ok()
 }
 
-/// Checked `u128 → usize` for untrusted input (lengths, indices read
-/// from disk before they are used to size or index anything).
-#[inline]
-#[must_use]
-pub fn checked_usize_from_u128(x: u128) -> Option<usize> {
-    usize::try_from(x).ok()
-}
-
 /// Checked `u64 → usize` for untrusted input.
 #[inline]
 #[must_use]
@@ -150,7 +134,6 @@ mod tests {
     #[test]
     fn integer_round_trips() {
         assert_eq!(usize_from_u64(42), 42);
-        assert_eq!(usize_from_u128(42), 42);
         assert_eq!(usize_from_u32(7), 7);
         assert_eq!(u64_from_usize(9), 9);
         assert_eq!(u64_from_u128(1 << 60), 1 << 60);
@@ -189,7 +172,6 @@ mod tests {
         assert_eq!(checked_u64_from_u128(u128::from(u64::MAX) + 1), None);
         assert_eq!(checked_u32_from_u128(7), Some(7));
         assert_eq!(checked_u32_from_u128(u128::from(u32::MAX) + 1), None);
-        assert_eq!(checked_usize_from_u128(9), Some(9));
         assert_eq!(checked_usize_from_u64(11), Some(11));
     }
 }

@@ -12,14 +12,14 @@
 //!   thread-local [`Cell`]s until [`Recording::finish`] returns the
 //!   [`CounterSnapshot`] delta for that scope.
 //! * Multi-threaded drivers (the Monte-Carlo engine) record per worker
-//!   thread and merge the snapshots into a [`SharedCounters`] — the only
-//!   place atomics appear, once per trial batch rather than per event.
+//!   thread, sum the workers' snapshots with [`CounterSnapshot::plus`]
+//!   once they are joined, and fold the sum into the caller's recording
+//!   with [`count_snapshot`]. Nothing is shared between threads.
 //!
 //! Counters are diagnostics, not semantics: they never feed back into the
 //! simulation, so enabling them cannot change any result.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A point-in-time reading of the execution counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -130,14 +130,6 @@ pub fn count_cache_evictions(n: u64) {
     bump(|c| c.cache_evictions = c.cache_evictions.saturating_add(n));
 }
 
-/// Is a [`Recording`] open on this thread? Multi-threaded drivers use this
-/// to decide whether their workers should record at all.
-#[inline]
-#[must_use]
-pub fn is_recording() -> bool {
-    ENABLED.with(Cell::get)
-}
-
 /// Fold an externally-collected snapshot into this thread's open recording
 /// (no-op when none is open). This is how multi-threaded drivers make the
 /// work done on their worker threads visible to the caller's [`Recording`].
@@ -177,53 +169,6 @@ impl Recording {
 impl Drop for Recording {
     fn drop(&mut self) {
         ENABLED.with(|e| e.set(self.was_enabled));
-    }
-}
-
-/// Thread-safe counter accumulator for multi-threaded drivers: workers
-/// record locally and [`add`](SharedCounters::add) their snapshots.
-#[derive(Debug, Default)]
-pub struct SharedCounters {
-    boxes_advanced: AtomicU64,
-    cursor_steps: AtomicU64,
-    ios_charged: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_evictions: AtomicU64,
-}
-
-impl SharedCounters {
-    /// A zeroed accumulator.
-    #[must_use]
-    pub fn new() -> SharedCounters {
-        SharedCounters::default()
-    }
-
-    /// Fold a worker's snapshot into the totals, saturating at `u64::MAX`
-    /// like [`CounterSnapshot::plus`].
-    pub fn add(&self, s: &CounterSnapshot) {
-        fn saturating_add(total: &AtomicU64, n: u64) {
-            // The closure always returns `Some`, so the update cannot fail.
-            let _ = total.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
-                Some(t.saturating_add(n))
-            });
-        }
-        saturating_add(&self.boxes_advanced, s.boxes_advanced);
-        saturating_add(&self.cursor_steps, s.cursor_steps);
-        saturating_add(&self.ios_charged, s.ios_charged);
-        saturating_add(&self.cache_hits, s.cache_hits);
-        saturating_add(&self.cache_evictions, s.cache_evictions);
-    }
-
-    /// Read the current totals.
-    #[must_use]
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            boxes_advanced: self.boxes_advanced.load(Ordering::Relaxed),
-            cursor_steps: self.cursor_steps.load(Ordering::Relaxed),
-            ios_charged: self.ios_charged.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -288,36 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_counters_accumulate_across_threads() {
-        let shared = SharedCounters::new();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    let rec = Recording::start();
-                    count_boxes(10);
-                    count_cache_hit();
-                    shared.add(&rec.finish());
-                });
-            }
-        });
-        let total = shared.snapshot();
-        assert_eq!(total.boxes_advanced, 40);
-        assert_eq!(total.cache_hits, 4);
-    }
-
-    #[test]
-    fn shared_counters_saturate() {
-        let shared = SharedCounters::new();
-        let near_max = CounterSnapshot {
-            ios_charged: u64::MAX - 1,
-            ..CounterSnapshot::ZERO
-        };
-        shared.add(&near_max);
-        shared.add(&near_max);
-        assert_eq!(shared.snapshot().ios_charged, u64::MAX);
-    }
-
-    #[test]
     fn snapshot_arithmetic() {
         let a = CounterSnapshot {
             boxes_advanced: 5,
@@ -330,5 +245,11 @@ mod tests {
         assert_eq!(b.boxes_advanced, 10);
         assert_eq!(b.minus(a), a);
         assert!(a.minus(b).is_zero());
+        // Sums saturate at u64::MAX instead of wrapping.
+        let near_max = CounterSnapshot {
+            ios_charged: u64::MAX - 1,
+            ..CounterSnapshot::ZERO
+        };
+        assert_eq!(near_max.plus(near_max).ios_charged, u64::MAX);
     }
 }

@@ -382,18 +382,6 @@ impl EmpiricalMultiset {
             label: label.into(),
         }
     }
-
-    /// Build from an explicit profile (each box weight 1).
-    #[must_use]
-    pub fn from_profile(profile: &SquareProfile, label: impl Into<String>) -> Self {
-        let mut counts: std::collections::BTreeMap<Blocks, u128> =
-            std::collections::BTreeMap::new();
-        for &b in profile.boxes() {
-            *counts.entry(b).or_insert(0) += 1;
-        }
-        let pairs: Vec<_> = counts.into_iter().collect();
-        EmpiricalMultiset::from_counts(&pairs, label)
-    }
 }
 
 impl BoxDist for EmpiricalMultiset {
@@ -632,10 +620,22 @@ mod tests {
 
     #[test]
     fn empirical_from_profile() {
-        let p = SquareProfile::new(vec![2, 2, 4, 2]).unwrap();
-        let d = EmpiricalMultiset::from_profile(&p, "p");
-        let support = d.discrete_support().unwrap();
-        assert_eq!(support, vec![(2, 0.75), (4, 0.25)]);
+        // Built from the adversary's box multiset, as E2 builds it, the
+        // distribution carries the size frequencies of the materialised
+        // profile.
+        let wc = crate::WorstCase::new(8, 4, 1, 2).unwrap();
+        let d = EmpiricalMultiset::from_counts(&wc.box_multiset(), "wc");
+        let profile = wc.materialize();
+        let mut tally = std::collections::BTreeMap::<Blocks, u128>::new();
+        for &b in profile.boxes() {
+            *tally.entry(b).or_insert(0) += 1;
+        }
+        let total = profile.boxes().len() as f64;
+        let want: Vec<(Blocks, f64)> = tally
+            .into_iter()
+            .map(|(size, count)| (size, count as f64 / total))
+            .collect();
+        assert_eq!(d.discrete_support().unwrap(), want);
     }
 
     #[test]

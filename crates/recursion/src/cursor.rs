@@ -308,12 +308,6 @@ impl ExecCursor {
         self.stack.last().map(|f| f.k)
     }
 
-    /// Size (blocks) of the innermost node containing the pending access.
-    #[must_use]
-    pub fn current_node_size(&self) -> Option<Blocks> {
-        self.current_level().map(|k| self.cf.size(k))
-    }
-
     /// Descend / pop until the bottom frame points at a pending access
     /// (chunk_done < chunk_len), or the stack empties (done).
     ///

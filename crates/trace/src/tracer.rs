@@ -184,12 +184,6 @@ impl AddressSpace {
         buf.data.copy_from_slice(values);
         buf
     }
-
-    /// Total words allocated (including alignment padding).
-    #[must_use]
-    pub fn words_allocated(&self) -> u64 {
-        self.next
-    }
 }
 
 /// A flat `f64` buffer whose accesses are reported to a [`Tracer`].
@@ -287,7 +281,6 @@ mod tests {
         assert_eq!(b.base(), 4, "second buffer starts on a fresh block");
         let c = space.alloc(1);
         assert_eq!(c.base(), 12);
-        assert_eq!(space.words_allocated(), 16);
     }
 
     #[test]
