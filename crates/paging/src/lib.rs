@@ -20,19 +20,22 @@
 //!   through a forward [`ProfileCursor`](cadapt_core::ProfileCursor), so
 //!   the replay is one O(A) pass however many segments the profile has.
 //!
-//! The LRU structure itself is [`lru::LruCache`], an O(1) doubly-linked
-//! recency list threaded through a node table indexed by block id: a
-//! [`PageDirectory`](cadapt_trace::block_map::PageDirectory) gives each id
-//! a dense slot, and a block is resident exactly when its node is linked,
-//! so a probe is a page compare and an index, not a hash lookup. The
-//! table covers every id on a page the cache has inserted from, so its
-//! memory is O(ids on touched pages), 8 bytes per id, whatever the
-//! capacity. Square-profile replay reuses one cache for every box,
-//! cleared and resized at each box boundary; `clear` unlinks only the
-//! resident nodes, O(resident). [`opt::replay_opt`] provides Belady's
-//! offline-optimal replacement as the baseline the ideal-cache model
-//! assumes, with the Sleator–Tarjan LRU-vs-OPT inequality checked in its
-//! tests.
+//! The LRU structure itself is [`lru::LruCache`], an O(1) recency ring
+//! with a sentinel node, threaded through a node table indexed by block
+//! id: a [`PageDirectory`](cadapt_trace::block_map::PageDirectory) gives
+//! each id a dense slot, and a block is resident exactly when its node is
+//! in the ring, so a probe is a flat page-table load and an index, not a
+//! hash lookup. The table covers every id on a page the cache has inserted
+//! from, so its memory is O(ids on touched pages), 8 bytes per id,
+//! whatever the capacity. The fixed-cache and m(t) replays use it.
+//! Square-profile replay keeps no LRU: a box of x blocks admits at most x
+//! misses into a cache cleared at its start, so it never evicts, and a
+//! block is resident exactly when the open box admitted it. A per-slot
+//! stamp holding the number of the box that admitted the block answers
+//! that, and a box boundary opens a new number. [`opt::replay_opt`]
+//! provides Belady's offline-optimal replacement as the baseline the
+//! ideal-cache model assumes, with the Sleator–Tarjan LRU-vs-OPT
+//! inequality checked in its tests.
 //!
 //! Each simulated replay mode has an analytic twin in [`analytic`] that
 //! computes the identical numbers in closed form from a

@@ -1,59 +1,56 @@
-//! O(1) LRU cache over block ids, its recency list threaded through a
-//! table indexed by block id.
+//! O(1) LRU cache over block ids, its recency list a ring threaded
+//! through a table indexed by block id.
 //!
 //! A [`PageDirectory`] (from [`cadapt_trace::block_map`]) gives every
-//! block id a dense slot, `page_index · 512 + id % 512`, and the node
-//! table holds one `prev`/`next` pair per slot. A block is resident
-//! exactly when its node is linked into the recency list, so there is no
-//! separate index: a probe is a page compare and a table index (a hash
-//! probe on the page number only when the page changes), and an evicted
-//! block's id is recovered from its slot's page number. Every operation
-//! (lookup, touch, insert, evict) is O(1), and a hit on the list head
-//! relinks nothing.
+//! block id a dense slot, `page_index · 512 + id % 512`, and slot `s` owns
+//! node `s + 1` of the node table, one `prev`/`next` pair. Node 0 is the
+//! ring's sentinel: its `next` is the most recently used block and its
+//! `prev` the least recently used, so linking and unlinking never branch on
+//! an empty list or an end of it. A block is resident exactly when its
+//! node is in the ring, and a node out of the ring has `next == OUT`, so
+//! there is no separate index: a probe is a page-table load and a node
+//! load, and an evicted block's id is recovered from its slot's page
+//! number. Every operation (lookup, touch, insert, evict) is O(1), and a
+//! hit on the most recent block relinks nothing.
 //!
 //! **Memory.** The table covers every id on a page the cache has been
 //! asked to insert, resident or not: O(ids on touched pages), 8 bytes per
 //! id (two `u32` links), independent of the capacity. On the corpus
 //! programs, whose ids are bump-allocated from 0, that is 8 bytes per
-//! distinct block. A new cache allocates nothing, whatever its capacity.
-//! The links cap the table at 2³² − 512 slots (8,388,607 touched pages, a
-//! 32 GiB table); an insert past that panics rather than wrap a link.
+//! distinct block. A new cache allocates the sentinel only, whatever its
+//! capacity. The links cap the table at 2³² − 512 slots (8,388,607 touched
+//! pages, a 32 GiB table); an insert past that panics rather than wrap a
+//! link.
 //!
 //! Capacity can be changed on the fly (shrinking evicts from the cold
-//! end), which is what the cache-adaptive replay needs whenever m(t)
-//! changes, and one cache can be reused across boxes with
-//! [`LruCache::clear`] + [`LruCache::resize`]. `clear` unlinks the
-//! resident nodes only, O(resident), and keeps the directory and table.
+//! end), which is what the fixed-cache and m(t) replays need. Square-box
+//! replays never evict and need no recency order, so they keep no
+//! `LruCache` (see [`crate::replay`]).
 
 use cadapt_core::cast;
 use cadapt_trace::block_map::PageDirectory;
 
-/// "No neighbour": the `prev` of the head and the `next` of the tail.
-const NIL: u32 = u32::MAX;
+/// The `next` of a node that is not in the ring. No node has this index:
+/// the table holds at most `2³² − 511` nodes.
+const OUT: u32 = u32::MAX;
 
-/// The `prev` of a node that is not in the recency list.
-const UNLINKED: u32 = u32::MAX - 1;
-
-/// One slot of the node table: the block's neighbours in the recency list,
-/// as slots. Every slot is below `2³² − 512`, clear of both sentinels.
+/// One node of the table: its neighbours in the recency ring, as node
+/// indexes. Node 0 is the sentinel; slot `s` owns node `s + 1`.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    /// More recently used neighbour, [`NIL`] at the head, [`UNLINKED`]
-    /// when the block is not resident.
+    /// More recently used neighbour (the sentinel for the most recent).
     prev: u32,
-    /// Less recently used neighbour, [`NIL`] at the tail.
+    /// Less recently used neighbour (the sentinel for the least recent),
+    /// or [`OUT`] when the block is not resident.
     next: u32,
 }
 
 impl Node {
-    const FREE: Node = Node {
-        prev: UNLINKED,
-        next: NIL,
-    };
+    /// A node out of the ring.
+    const FREE: Node = Node { prev: 0, next: OUT };
 
-    fn linked(self) -> bool {
-        self.prev != UNLINKED
-    }
+    /// The sentinel of an empty ring.
+    const EMPTY_RING: Node = Node { prev: 0, next: 0 };
 }
 
 /// An LRU set of block ids with O(1) access/insert/evict and dynamic
@@ -61,29 +58,23 @@ impl Node {
 #[derive(Debug)]
 pub struct LruCache {
     capacity: usize,
-    /// Resident blocks: the length of the recency list.
+    /// Resident blocks: the ring's length, sentinel excluded.
     len: usize,
     dir: PageDirectory,
-    /// One node per directory slot.
+    /// The sentinel, then one node per directory slot.
     nodes: Vec<Node>,
-    /// Most recently used.
-    head: u32,
-    /// Least recently used.
-    tail: u32,
 }
 
 impl LruCache {
-    /// An empty cache with the given capacity (may be 0). Allocates
-    /// nothing until the first insert.
+    /// An empty cache with the given capacity (may be 0). Allocates only
+    /// the sentinel until the first insert.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         LruCache {
             capacity,
             len: 0,
             dir: PageDirectory::default(),
-            nodes: Vec::new(),
-            head: NIL,
-            tail: NIL,
+            nodes: vec![Node::EMPTY_RING],
         }
     }
 
@@ -110,58 +101,47 @@ impl LruCache {
     pub fn contains(&self, block: u64) -> bool {
         self.dir
             .find(block)
-            .and_then(|slot| self.nodes.get(slot))
-            .is_some_and(|node| node.linked())
+            .and_then(|slot| self.nodes.get(slot + 1))
+            .is_some_and(|node| node.next != OUT)
     }
 
-    /// The node of `slot`. Every slot the directory hands out has one:
-    /// the table grows with the directory in [`access`](Self::access).
-    fn node(&mut self, slot: u32) -> &mut Node {
-        let i = cast::usize_from_u32(slot);
+    /// The node at `index`. Every index the cache forms is in the table:
+    /// the sentinel is there from the start, and the table grows with the
+    /// directory in [`access`](Self::access).
+    fn node(&mut self, index: u32) -> &mut Node {
+        let i = cast::usize_from_u32(index);
         &mut self.nodes[i]
     }
 
-    /// Unlink `slot`'s node from the recency list.
-    fn detach(&mut self, slot: u32) {
-        let Node { prev, next } = *self.node(slot);
-        *self.node(slot) = Node::FREE;
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.node(prev).next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.node(next).prev = prev;
-        }
+    /// Take node `n` out of the ring.
+    fn unlink(&mut self, n: u32) {
+        let Node { prev, next } = *self.node(n);
+        self.node(prev).next = next;
+        self.node(next).prev = prev;
     }
 
-    /// Link `slot`'s (unlinked) node in as the most recently used.
-    fn attach_front(&mut self, slot: u32) {
-        let head = self.head;
-        *self.node(slot) = Node {
-            prev: NIL,
-            next: head,
+    /// Put node `n` (out of the ring) in as the most recently used.
+    fn link_front(&mut self, n: u32) {
+        let first = self.node(0).next;
+        *self.node(n) = Node {
+            prev: 0,
+            next: first,
         };
-        if head == NIL {
-            self.tail = slot;
-        } else {
-            self.node(head).prev = slot;
-        }
-        self.head = slot;
+        self.node(first).prev = n;
+        self.node(0).next = n;
     }
 
     /// Evict the least recently used block, returning it.
     pub fn evict_lru(&mut self) -> Option<u64> {
-        let slot = self.tail;
-        if slot == NIL {
+        let n = self.node(0).prev;
+        if n == 0 {
             return None;
         }
-        self.detach(slot);
+        self.unlink(n);
+        self.node(n).next = OUT;
         self.len -= 1;
         cadapt_core::counters::count_cache_evictions(1);
-        self.dir.id_of(cast::usize_from_u32(slot))
+        self.dir.id_of(cast::usize_from_u32(n) - 1)
     }
 
     /// Access `block`: returns `true` on a hit (block moved to the front),
@@ -173,22 +153,23 @@ impl LruCache {
             return false;
         }
         let slot = self.dir.slot(block);
-        if slot >= self.nodes.len() {
-            // The table size is a multiple of 512, so if it fits a `u32`
-            // every slot in it is below `2³² − 512`, clear of the sentinels.
-            let slots = self.dir.slots();
+        let n = slot + 1;
+        if n >= self.nodes.len() {
+            // The slot count is a multiple of 512, so if the table fits
+            // `u32` indexes every node is below `2³² − 511`, clear of `OUT`.
+            let len = self.dir.slots() + 1;
             assert!(
-                u32::try_from(slots).is_ok(),
+                u32::try_from(len).is_ok(),
                 "LruCache node table past 2^32 - 512 slots"
             );
-            self.nodes.resize(slots, Node::FREE);
+            self.nodes.resize(len, Node::FREE);
         }
-        let slot = cast::u32_from_usize(slot);
-        if self.node(slot).linked() {
-            // A hit on the head relinks nothing.
-            if slot != self.head {
-                self.detach(slot);
-                self.attach_front(slot);
+        let n = cast::u32_from_usize(n);
+        if self.node(n).next != OUT {
+            // A hit on the most recent block relinks nothing.
+            if self.node(0).next != n {
+                self.unlink(n);
+                self.link_front(n);
             }
             cadapt_core::counters::count_cache_hit();
             return true;
@@ -196,7 +177,7 @@ impl LruCache {
         while self.len >= self.capacity {
             self.evict_lru();
         }
-        self.attach_front(slot);
+        self.link_front(n);
         self.len += 1;
         false
     }
@@ -207,24 +188,6 @@ impl LruCache {
         while self.len > self.capacity {
             self.evict_lru();
         }
-    }
-
-    /// Drop everything (the "cache cleared at box start" convention).
-    /// Nothing is counted as evicted. Only the resident nodes are
-    /// unlinked, so this is O(resident), and the directory and table keep
-    /// their allocations: `clear()` + [`resize`](Self::resize)`(n)` turns
-    /// a used cache into the equivalent of `LruCache::new(n)` without
-    /// allocating.
-    pub fn clear(&mut self) {
-        let mut slot = self.head;
-        while slot != NIL {
-            let next = self.node(slot).next;
-            *self.node(slot) = Node::FREE;
-            slot = next;
-        }
-        self.len = 0;
-        self.head = NIL;
-        self.tail = NIL;
     }
 }
 
@@ -290,47 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets() {
-        let mut c = LruCache::new(2);
-        c.access(1);
-        c.access(2);
-        c.clear();
-        assert!(c.is_empty());
-        assert!(!c.access(1), "post-clear access is a miss");
-        assert_eq!(c.len(), 1);
-    }
-
-    /// A cache reused through `clear()` + `resize(n)` is indistinguishable
-    /// from `LruCache::new(n)`: the same hit/miss sequence, and the same
-    /// eviction and hit counts under `Recording`.
-    #[test]
-    fn clear_and_resize_behave_like_a_fresh_cache() {
-        use cadapt_core::counters::Recording;
-        // Strided and repeating ids, long enough to force evictions.
-        let blocks: Vec<u64> = (0..400u64).map(|i| (i * 37 % 23) * 64 + i % 3).collect();
-        let run = |cache: &mut LruCache| {
-            let rec = Recording::start();
-            let hits: Vec<bool> = blocks.iter().map(|&b| cache.access(b)).collect();
-            (hits, rec.finish())
-        };
-        let mut reused = LruCache::new(50);
-        for &b in &blocks {
-            reused.access(b);
-        }
-        for n in [0usize, 1, 3, 8, 20, 64] {
-            let (want_hits, want) = run(&mut LruCache::new(n));
-            reused.clear();
-            reused.resize(n);
-            let (hits, got) = run(&mut reused);
-            assert_eq!(hits, want_hits, "capacity {n}");
-            assert_eq!(got, want, "capacity {n}");
-            if n > 0 && n < 20 {
-                assert!(want.cache_evictions > 0, "capacity {n} never evicted");
-            }
-        }
-    }
-
-    #[test]
     fn evict_lru_returns_oldest() {
         let mut c = LruCache::new(3);
         for b in [7, 8, 9] {
@@ -345,7 +267,7 @@ mod tests {
     /// An evicted block keeps its slot, and the slot is reused when the
     /// block comes back: the table covers the pages of the ids inserted,
     /// not the capacity, so a capacity-2 cache that has seen ids 0..100,
-    /// twice over, holds one 512-id page.
+    /// twice over, holds one 512-id page: 512 nodes and the sentinel.
     #[test]
     fn slot_reuse_after_eviction() {
         let mut c = LruCache::new(2);
@@ -354,29 +276,29 @@ mod tests {
         }
         assert_eq!(c.len(), 2);
         assert_eq!(c.dir.pages(), 1);
-        assert_eq!(c.nodes.len(), 512);
+        assert_eq!(c.nodes.len(), 513);
         for b in 0..100u64 {
             assert!(!c.access(b), "block {b} was evicted");
         }
         assert_eq!(c.len(), 2);
         assert_eq!(c.dir.pages(), 1);
-        assert_eq!(c.nodes.len(), 512);
+        assert_eq!(c.nodes.len(), 513);
     }
 
-    /// Construction and resize preallocate nothing, whatever the
-    /// capacity: the table grows with the pages touched, on the first
-    /// access to each.
+    /// Construction and resize preallocate nothing but the sentinel,
+    /// whatever the capacity: the table grows with the pages touched, on
+    /// the first access to each.
     #[test]
     fn construction_and_resize_preallocate() {
         let mut c = LruCache::new(100);
         assert_eq!(c.dir.pages(), 0);
-        assert_eq!(c.nodes.capacity(), 0);
+        assert_eq!(c.nodes.len(), 1);
         c.resize(200);
         assert_eq!(c.dir.pages(), 0);
-        assert_eq!(c.nodes.capacity(), 0);
+        assert_eq!(c.nodes.len(), 1);
         let c = LruCache::new(usize::MAX);
         assert_eq!(c.dir.pages(), 0);
-        assert_eq!(c.nodes.capacity(), 0);
+        assert_eq!(c.nodes.len(), 1);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use cadapt_core::{
     cast, AdaptivityReport, Blocks, BoxRecord, BoxRun, BoxSource, Io, Leaves, MemoryProfile,
     Potential, ProgressLedger, RunCursor,
 };
+use cadapt_trace::block_map::PageDirectory;
 use cadapt_trace::{TraceEvent, TraceStream};
 
 /// Error from a cursor-driven replay ([`replay_square_cursor`]).
@@ -94,12 +95,12 @@ pub fn replay_fixed<T: TraceStream + ?Sized>(trace: &T, cache_blocks: Blocks) ->
 /// Replay a trace in the cache-adaptive model against a square profile.
 ///
 /// Each box of size x grants x I/Os of time and x blocks of cache, cleared
-/// at the box boundary (§2's w.l.o.g. convention). Hits are free; each miss
-/// consumes one I/O of the box. When the box's I/Os are spent, the pending
-/// access retries in the next box. Per-box progress is the number of
-/// base-case marks replayed within the box; the ledger produces the same
-/// [`AdaptivityReport`] as the abstract execution drivers, with the trace's
-/// working-set size as the problem size n.
+/// at the box boundary (§2's w.l.o.g. convention). Hits are free, even once
+/// the box's I/Os are spent; each miss consumes one I/O of the box. A miss
+/// after the box's I/Os are spent retries in the next box. Per-box progress
+/// is the number of base-case marks replayed within the box; the ledger
+/// produces the same [`AdaptivityReport`] as the abstract execution
+/// drivers, with the trace's working-set size as the problem size n.
 #[must_use]
 pub fn replay_square_profile<T: TraceStream + ?Sized, S: BoxSource>(
     trace: &T,
@@ -135,89 +136,140 @@ fn replay_square_into<T: TraceStream + ?Sized, S: BoxSource>(
     replay_cursor_into(trace, &mut cursor, ledger).expect("infallible") // cadapt-lint: allow(panic-reach) -- SourceCursor adapts an infinite BoxSource and carries no cancel token, so neither ReplayError variant can occur
 }
 
-/// The one per-box trace-replay loop in this crate: both the legacy
+/// The one square-profile replay loop in this crate: both the
 /// [`BoxSource`] entry points and the streaming [`replay_square_cursor`]
-/// drain it. Runs are pulled lazily and expanded box by box — trace replay
-/// inherently simulates each box's LRU cache — with at most one pending
-/// run resident (the cursor contract's O(1) bound). Leaf marks are
-/// attached to the preceding access, so trailing marks of the final box
-/// are consumed correctly.
+/// drain it, in one pass over the trace through the decoder's `fold` fast
+/// path. Runs are pulled lazily, one box at a time, with at most one
+/// pending run resident (the cursor contract's O(1) bound).
+///
+/// A box opens on the first event of any kind, and leaf marks attach to
+/// the open box, so leading and trailing marks are counted where they
+/// fall. An access tests residency first: a resident block is a free hit
+/// even once the box's I/Os are spent. A miss with I/Os left spends one;
+/// a miss with none left closes the box, and the access retries in the
+/// next one. After the first error the remaining events are skipped.
+///
+/// There is no LRU here. A box of x blocks starts with an empty cache and
+/// admits at most x misses into its x blocks, so it never evicts, and
+/// replacement order is never observed inside a box. A block is therefore
+/// resident exactly when the open box has admitted it: a stamp per
+/// [`PageDirectory`] slot holds the number of the box that last admitted
+/// the slot's block (boxes count from 1, so 0 is never), and a box
+/// boundary clears the cache by opening a new number.
 fn replay_cursor_into<T: TraceStream + ?Sized, C: RunCursor>(
     trace: &T,
     source: &mut C,
     mut ledger: ProgressLedger,
 ) -> Result<ProgressLedger, ReplayError> {
-    let mut events = trace.events().peekable();
-    let mut boxes: u64 = 0;
+    // An empty trace replays no box and pulls nothing from the cursor.
+    if trace.events().next().is_none() {
+        return Ok(ledger);
+    }
     let mut pending: Option<BoxRun> = None;
-    // One cache for the whole replay, cleared and resized at every box
-    // boundary: the same hits and misses as a fresh cache per box, without
-    // a fresh node table per box, and a clear costs only the box's
-    // resident blocks.
-    let mut cache = LruCache::new(0);
-    while events.peek().is_some() {
-        let run = match pending.take() {
-            Some(run) => run,
-            None => match source.next_run() {
-                Ok(Some(run)) => run,
-                Ok(None) => return Err(ReplayError::ProfileExhausted { after_boxes: boxes }),
-                Err(cadapt_core::Cancelled) => {
-                    return Err(ReplayError::Cancelled { after_boxes: boxes });
-                }
-            },
-        };
-        debug_assert!(run.repeat >= 1 && run.size >= 1, "bad run {run:?}");
-        let size = run.size;
-        if run.repeat > 1 {
-            // Stash the rest of the run; infinite tails stay infinite.
-            pending = Some(BoxRun {
-                size,
-                repeat: if run.repeat == u64::MAX {
-                    u64::MAX
-                } else {
-                    run.repeat - 1
-                },
-            });
+    let mut size = next_box(source, &mut pending, 0)?;
+    // Boxes opened so far, which is the open box's number.
+    let mut boxes: u64 = 1;
+    let mut budget = Io::from(size);
+    let mut used: Io = 0;
+    let mut progress: Leaves = 0;
+    let mut dir = PageDirectory::default();
+    let mut admitted: Vec<u64> = Vec::new();
+    let mut failed: Option<ReplayError> = None;
+    // `for_each` drains through the decoder's `fold` fast path.
+    trace.events().for_each(|event| {
+        if failed.is_some() {
+            return;
         }
-        cache.clear();
-        cache.resize(cast::usize_from_u64(size));
-        let mut budget = Io::from(size);
-        let mut progress: Leaves = 0;
-        let mut used: Io = 0;
-        while let Some(event) = events.peek() {
-            match event {
-                TraceEvent::Leaf => {
-                    progress += 1;
-                    events.next();
-                }
-                TraceEvent::Access(block) => {
-                    if budget > 0 {
-                        // One probe: a hit is free, a miss spends an I/O.
-                        if !cache.access(*block) {
-                            budget -= 1;
-                            used += 1;
-                        }
-                        events.next();
-                    } else if cache.contains(*block) {
-                        let _ = cache.access(*block);
-                        events.next();
-                    } else {
-                        // Box exhausted: this access starts the next box.
-                        break;
-                    }
+        let TraceEvent::Access(block) = event else {
+            progress += 1;
+            return;
+        };
+        let slot = dir.slot(block);
+        if slot >= admitted.len() {
+            admitted.resize(dir.slots(), 0);
+        }
+        let stamp = &mut admitted[slot];
+        if *stamp == boxes {
+            cadapt_core::counters::count_cache_hit();
+            return;
+        }
+        if budget == 0 {
+            close_box(
+                &mut ledger,
+                BoxRecord {
+                    size,
+                    progress,
+                    used,
+                },
+            );
+            match next_box(source, &mut pending, boxes) {
+                Ok(next) => size = next,
+                Err(err) => {
+                    failed = Some(err);
+                    return;
                 }
             }
+            boxes += 1;
+            budget = Io::from(size);
+            used = 0;
+            progress = 0;
         }
-        boxes += 1;
-        cadapt_core::counters::count_boxes(1);
-        cadapt_core::counters::count_io(used);
-        ledger.record(BoxRecord {
+        *stamp = boxes;
+        budget -= 1;
+        used += 1;
+    });
+    if let Some(err) = failed {
+        return Err(err);
+    }
+    close_box(
+        &mut ledger,
+        BoxRecord {
             size,
             progress,
             used,
+        },
+    );
+    Ok(ledger)
+}
+
+/// The size of the next box: the rest of the pending run first, then the
+/// cursor's next run, whose other boxes stay pending. `boxes` is the
+/// number of boxes replayed so far, for the error.
+fn next_box<C: RunCursor>(
+    source: &mut C,
+    pending: &mut Option<BoxRun>,
+    boxes: u64,
+) -> Result<Blocks, ReplayError> {
+    let run = match pending.take() {
+        Some(run) => run,
+        None => match source.next_run() {
+            Ok(Some(run)) => run,
+            Ok(None) => return Err(ReplayError::ProfileExhausted { after_boxes: boxes }),
+            Err(cadapt_core::Cancelled) => {
+                return Err(ReplayError::Cancelled { after_boxes: boxes });
+            }
+        },
+    };
+    debug_assert!(run.repeat >= 1 && run.size >= 1, "bad run {run:?}");
+    if run.repeat > 1 {
+        // Stash the rest of the run; infinite tails stay infinite.
+        *pending = Some(BoxRun {
+            size: run.size,
+            repeat: if run.repeat == u64::MAX {
+                u64::MAX
+            } else {
+                run.repeat - 1
+            },
         });
     }
-    Ok(ledger)
+    Ok(run.size)
+}
+
+/// Count a finished box and hand it to the ledger.
+fn close_box(ledger: &mut ProgressLedger, record: BoxRecord) {
+    cadapt_core::counters::count_boxes(1);
+    cadapt_core::counters::count_io(record.used);
+    ledger.record(record);
 }
 
 /// As [`replay_square_profile`], but fed from a streaming
@@ -226,10 +278,9 @@ fn replay_cursor_into<T: TraceStream + ?Sized, C: RunCursor>(
 /// [`cancellable`](cadapt_core::RunCursorExt::cancellable), and the replay
 /// holds O(1) profile state regardless of the pipeline's length.
 ///
-/// Runs are expanded box by box — trace replay inherently simulates each
-/// box's LRU cache — but the cursor is pulled one *run* at a time, so
-/// cancellation is observed at run boundaries (cursor law 3) and a
-/// `u64::MAX` constant tail never materialises.
+/// Runs are replayed box by box, but the cursor is pulled one *run* at a
+/// time, so cancellation is observed at run boundaries (cursor law 3) and
+/// a `u64::MAX` constant tail never materialises.
 ///
 /// A finite cursor that ends before the trace does yields
 /// [`ReplayError::ProfileExhausted`]; a fired token yields
@@ -265,9 +316,10 @@ pub struct ProfileReplay {
 /// shrink). Hits are free; each miss advances t. Returns how far the
 /// profile got; `completed` is false if the profile ended first.
 ///
-/// One O(A) pass: m(t) comes from a forward
-/// [`ProfileCursor`](cadapt_core::ProfileCursor), and the cache is
-/// resized only when m(t) changes.
+/// One O(A) pass through the decoder's `fold` fast path: m(t) comes from
+/// a forward [`ProfileCursor`](cadapt_core::ProfileCursor), the cache is
+/// resized only when m(t) changes, and once m(t) runs out the remaining
+/// events are skipped.
 #[must_use]
 pub fn replay_memory_profile<T: TraceStream + ?Sized>(
     trace: &T,
@@ -284,7 +336,11 @@ pub fn replay_memory_profile<T: TraceStream + ?Sized>(
     };
     let mut cache = LruCache::new(cast::usize_from_u64(current));
     let mut leaves: Leaves = 0;
-    for event in trace.events() {
+    let mut exhausted = false;
+    trace.events().for_each(|event| {
+        if exhausted {
+            return;
+        }
         match event {
             TraceEvent::Leaf => leaves += 1,
             TraceEvent::Access(block) => {
@@ -293,27 +349,23 @@ pub fn replay_memory_profile<T: TraceStream + ?Sized>(
                 // the size drop arbitrarily between I/Os).
                 let Some(m) = m_at.value_at(t) else {
                     // Profile exhausted: no cache, no I/O budget left.
-                    return ProfileReplay {
-                        io: t,
-                        completed: false,
-                        leaves,
-                    };
+                    exhausted = true;
+                    return;
                 };
                 if m != current {
                     cache.resize(cast::usize_from_u64(m));
                     current = m;
                 }
-                if cache.access(block) {
-                    continue; // hit: free
+                if !cache.access(block) {
+                    t += 1; // miss: one I/O
+                    cadapt_core::counters::count_io(1);
                 }
-                t += 1; // miss: one I/O
-                cadapt_core::counters::count_io(1);
             }
         }
-    }
+    });
     ProfileReplay {
         io: t,
-        completed: true,
+        completed: !exhausted,
         leaves,
     }
 }
@@ -427,6 +479,8 @@ mod tests {
         let replay = replay_memory_profile(&trace, &profile);
         assert!(!replay.completed);
         assert_eq!(replay.io, 10);
+        // The leaves replayed before the access that found m(t) spent.
+        assert_eq!(replay.leaves, 3);
     }
 
     #[test]
@@ -469,13 +523,24 @@ mod tests {
 
     #[test]
     fn cursor_replay_exhausted_profile_is_typed() {
+        use cadapt_core::counters::Recording;
         use cadapt_core::RunCursorExt;
         let (a, b) = small_matrices(8);
         let (_, trace) = mm_scan(&a, &b, 4);
-        // Two boxes of 8 can't finish this trace.
+        let rho = Potential::new(8, 4);
+        let (_, history) = replay_square_profile_history(&trace, &mut ConstantSource::new(8), rho);
+        // Two boxes of 8 can't finish this trace; the replay stops having
+        // counted exactly those two.
+        assert!(history.len() > 2);
         let mut cursor = ConstantSource::new(8).into_cursor().take_boxes(2);
-        let err = replay_square_cursor(&trace, &mut cursor, Potential::new(8, 4)).unwrap_err();
+        let rec = Recording::start();
+        let err = replay_square_cursor(&trace, &mut cursor, rho).unwrap_err();
+        let counts = rec.finish();
         assert_eq!(err, ReplayError::ProfileExhausted { after_boxes: 2 });
+        assert_eq!(counts.boxes_advanced, 2);
+        let used: Io = history.iter().take(2).map(|r| r.used).sum();
+        assert_eq!(Io::from(counts.ios_charged), used);
+        assert_eq!(counts.cache_evictions, 0);
     }
 
     #[test]

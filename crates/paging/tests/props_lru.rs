@@ -1,17 +1,18 @@
 //! Property-based validation of [`LruCache`] against a naive LRU kept in a
 //! `VecDeque`.
 //!
-//! The cache threads its recency list through a node table indexed by the
+//! The cache threads its recency ring through a node table indexed by the
 //! slots of a block-id page directory; the oracle keeps the resident
 //! blocks in recency order in a plain deque and finds a block by linear
 //! search, so the two share no index arithmetic. Random sequences of
-//! `access`, `contains`, `resize`, `clear` and `evict_lru` must give the
-//! same return values and the same `len` after every step, and the same
-//! hit and eviction counts under [`Recording`].
+//! `access`, `contains`, `resize` and `evict_lru` must give the same
+//! return values and the same `len` after every step, and the same hit and
+//! eviction counts under [`Recording`].
 //!
 //! Ids come from a dense range from 0, from both sides of the 511/512 and
-//! 1023/1024 page edges, from scattered values, and from the top of the id
-//! space, `u64::MAX` included.
+//! 1023/1024 page edges, from both sides of the directory's flat-table
+//! bound (page 2²⁰, id 2²⁹), from scattered values, and from the top of
+//! the id space, `u64::MAX` included.
 
 use cadapt_core::counters::Recording;
 use cadapt_paging::LruCache;
@@ -19,7 +20,7 @@ use proptest::prelude::*;
 use std::collections::VecDeque;
 
 /// The LRU as a deque, most recently used at the front. Counts hits and
-/// evictions the way the cache reports them: `clear` evicts nothing.
+/// evictions the way the cache reports them.
 #[derive(Debug)]
 struct NaiveLru {
     capacity: usize,
@@ -74,18 +75,34 @@ enum Op {
     Access(u64),
     Contains(u64),
     Resize(usize),
-    Clear,
     EvictLru,
 }
 
 /// Both sides of the first two page edges, and the first ids of page 0.
 const EDGES: [u64; 12] = [0, 1, 2, 509, 510, 511, 512, 513, 1022, 1023, 1024, 1025];
 
+/// The first id past the page directory's flat page table: page 2²⁰.
+const FLAT_BOUND: u64 = 1 << 29;
+
+/// Both sides of the flat-table bound: the last flat page's edges, the
+/// first hashed page's, and the next hashed page's first id.
+const BOUND: [u64; 8] = [
+    FLAT_BOUND - 512,
+    FLAT_BOUND - 2,
+    FLAT_BOUND - 1,
+    FLAT_BOUND,
+    FLAT_BOUND + 1,
+    FLAT_BOUND + 510,
+    FLAT_BOUND + 511,
+    FLAT_BOUND + 512,
+];
+
 /// The ids one sequence draws from.
 fn pool() -> impl Strategy<Value = Vec<u64>> {
     prop_oneof![
         (1u64..300).prop_map(|n| (0..n).collect::<Vec<u64>>()),
         Just(EDGES.to_vec()),
+        Just(BOUND.iter().copied().chain([u64::MAX, 0, 511]).collect()),
         Just(vec![
             u64::MAX,
             u64::MAX - 1,
@@ -101,6 +118,7 @@ fn pool() -> impl Strategy<Value = Vec<u64>> {
         (0u64..=u64::MAX).prop_map(|x| {
             let mut ids: Vec<u64> = (500..530).collect();
             ids.extend(EDGES);
+            ids.extend(BOUND);
             ids.extend([u64::MAX, u64::MAX - 512, x]);
             ids
         }),
@@ -113,7 +131,7 @@ fn script() -> impl Strategy<Value = (usize, Vec<Op>)> {
     (
         pool(),
         0usize..24,
-        proptest::collection::vec((0u32..64, 0usize..1 << 20), 0..2000),
+        proptest::collection::vec((0u32..62, 0usize..1 << 20), 0..2000),
     )
         .prop_map(|(pool, capacity, rolls)| {
             let ops = rolls
@@ -124,8 +142,7 @@ fn script() -> impl Strategy<Value = (usize, Vec<Op>)> {
                         0..=49 => Op::Access(block),
                         50..=55 => Op::Contains(block),
                         56..=59 => Op::Resize(x % 24),
-                        60..=61 => Op::EvictLru,
-                        _ => Op::Clear,
+                        _ => Op::EvictLru,
                     }
                 })
                 .collect();
@@ -156,10 +173,6 @@ proptest! {
                 Op::Resize(c) => {
                     cache.resize(c);
                     naive.resize(c);
-                }
-                Op::Clear => {
-                    cache.clear();
-                    naive.blocks.clear();
                 }
                 Op::EvictLru => {
                     prop_assert_eq!(cache.evict_lru(), naive.evict_lru(), "step {} {:?}", step, op);

@@ -7,20 +7,21 @@
 //! not live in a hash map keyed by id. [`PageDirectory`] groups ids into
 //! pages of 512 consecutive ids and hands each page the next dense page
 //! index, so id `id` owns slot `page_index · 512 + id % 512` and its state
-//! is a plain vector entry. Finding a page is one [`BlockMap`] probe on the
-//! page number, and the last page is cached, so a run of ids on one page
-//! costs a shift, a compare and a mask per id. [`crate::AddressSpace`]
-//! bump-allocates ids from 0, so on every corpus program the slots are
-//! exactly the ids and the tables are exactly as long as the id range. The
-//! crate-private `DistinctBlocks` keeps one flag bit per slot.
+//! is a plain vector entry. A page number below 2²⁰ (ids below 2²⁹) finds
+//! its page index in a flat page table, so an id costs a shift, a mask and
+//! one load; only a page above that bound costs a [`BlockMap`] probe on the
+//! page number. [`crate::AddressSpace`] bump-allocates ids from 0, so on
+//! every corpus program the slots are exactly the ids, the tables are
+//! exactly as long as the id range, and every page is in the flat table.
+//! The crate-private `DistinctBlocks` keeps one flag bit per slot.
 //!
 //! [`BlockMap`] is a plain std [`HashMap`] with [`BlockHasher`], one
 //! multiply per key. std's default SipHash is built to resist adversarial
 //! keys and costs several times the probe itself. Block ids here are never
 //! adversarial: the program's own kernels generate every one of them from
 //! their address arithmetic, and no block id comes from outside the
-//! program. Its users are the page directory (keyed by page number) and
-//! Belady's next-use tables in `cadapt-paging`.
+//! program. Its users are the page directory (keyed by the page numbers
+//! past its flat table) and Belady's next-use tables in `cadapt-paging`.
 //!
 //! **Bucket spread.** hashbrown picks a bucket from the *low* bits of the
 //! hash, but a multiply mixes upward: the low bits of `id · K` depend only
@@ -95,9 +96,10 @@ const PAGE_IDS: usize = 512;
 /// `PAGE_IDS` as a `u64`, for arithmetic on block ids.
 const PAGE_IDS_U64: u64 = 512;
 
-/// A page number the directory never holds: the largest page number is
-/// `u64::MAX / 512`.
-const NO_PAGE: u64 = u64::MAX;
+/// Page numbers below this bound are looked up in the directory's flat
+/// page table, at most 2²⁰ four-byte entries (4 MiB), covering ids below
+/// 2²⁹; larger page numbers go through the [`BlockMap`].
+const FLAT_PAGES: u64 = 1 << 20;
 
 /// Maps block ids to dense slots, so per-id state can live in a plain
 /// vector instead of a hash map.
@@ -109,32 +111,23 @@ const NO_PAGE: u64 = u64::MAX;
 /// any id pattern, and exactly as long as the id range when ids are
 /// bump-allocated from 0, as [`crate::AddressSpace`] allocates them.
 ///
-/// The page index is found by a [`BlockMap`] on the page number, and the
-/// last page found is cached, so a run of ids on one page costs a shift, a
-/// compare and a mask per id. Page indexes are handed out in order and
-/// never taken back, so a slot, once given, belongs to its id for the
-/// directory's lifetime, and [`id_of`](Self::id_of) recovers the id.
-#[derive(Debug, Clone)]
+/// A page number below 2²⁰ indexes a flat page table, which grows to the
+/// largest such page number seen, so finding its page index is a shift
+/// and one load, with no branch on whether the page differs from the last
+/// one (kernels change pages on a quarter to three quarters of their
+/// accesses). A larger page number costs a [`BlockMap`] probe. Page
+/// indexes are handed out in order and never taken back, so a slot, once
+/// given, belongs to its id for the directory's lifetime, and
+/// [`id_of`](Self::id_of) recovers the id.
+#[derive(Debug, Clone, Default)]
 pub struct PageDirectory {
-    /// Page number → page index.
+    /// Page number → page index + 1 for page numbers below [`FLAT_PAGES`];
+    /// 0 for a page not in the directory.
+    flat: Vec<u32>,
+    /// Page number → page index for page numbers from [`FLAT_PAGES`] up.
     index: BlockMap<usize>,
     /// Page index → page number.
     numbers: Vec<u64>,
-    /// The last page found: its number, or [`NO_PAGE`] before any.
-    last_page: u64,
-    /// `page_index · 512` of the last page found.
-    last_base: usize,
-}
-
-impl Default for PageDirectory {
-    fn default() -> Self {
-        PageDirectory {
-            index: BlockMap::default(),
-            numbers: Vec::new(),
-            last_page: NO_PAGE,
-            last_base: 0,
-        }
-    }
 }
 
 impl PageDirectory {
@@ -144,33 +137,51 @@ impl PageDirectory {
     #[inline]
     pub fn slot(&mut self, id: u64) -> usize {
         let page = id / PAGE_IDS_U64;
-        if page != self.last_page {
-            self.turn_to(page);
+        let offset = cast::usize_from_u64(id % PAGE_IDS_U64);
+        match self.flat_entry(page) {
+            Some(entry) if entry != 0 => (cast::usize_from_u32(entry) - 1) * PAGE_IDS + offset,
+            _ => self.add_or_probe(page) * PAGE_IDS + offset,
         }
-        self.last_base + cast::usize_from_u64(id % PAGE_IDS_U64)
     }
 
-    /// Find or add `page`, and make it the cached last page.
-    fn turn_to(&mut self, page: u64) {
+    /// `page`'s flat-table entry, or `None` past the table's end.
+    #[inline]
+    fn flat_entry(&self, page: u64) -> Option<u32> {
+        let at = usize::try_from(page).ok()?;
+        self.flat.get(at).copied()
+    }
+
+    /// The page index of `page`, which the flat table does not hold: a
+    /// new page below [`FLAT_PAGES`], or any page from it up. A new page
+    /// gets the next index.
+    fn add_or_probe(&mut self, page: u64) -> usize {
         let fresh = self.numbers.len();
-        let index = *self.index.entry(page).or_insert(fresh);
+        let index = if page < FLAT_PAGES {
+            let at = cast::usize_from_u64(page);
+            if at >= self.flat.len() {
+                self.flat.resize(at + 1, 0);
+            }
+            self.flat[at] = cast::u32_from_usize(fresh + 1);
+            fresh
+        } else {
+            *self.index.entry(page).or_insert(fresh)
+        };
         if index == fresh {
             self.numbers.push(page);
         }
-        self.last_page = page;
-        self.last_base = index * PAGE_IDS;
+        index
     }
 
     /// The slot of `id` if its page is in the directory; never adds one.
     #[must_use]
     pub fn find(&self, id: u64) -> Option<usize> {
         let page = id / PAGE_IDS_U64;
-        let base = if page == self.last_page {
-            self.last_base
+        let index = if page < FLAT_PAGES {
+            cast::usize_from_u32(self.flat_entry(page)?.checked_sub(1)?)
         } else {
-            *self.index.get(&page)? * PAGE_IDS
+            *self.index.get(&page)?
         };
-        Some(base + cast::usize_from_u64(id % PAGE_IDS_U64))
+        Some(index * PAGE_IDS + cast::usize_from_u64(id % PAGE_IDS_U64))
     }
 
     /// The id that owns `slot`, or `None` past [`slots`](Self::slots).
@@ -367,5 +378,60 @@ mod tests {
         // u64::MAX share it: 2^64 is a multiple of 512).
         assert_eq!(counter.dir.pages(), 4);
         assert_eq!(agrees_with_a_hash_set([]).len(), 0);
+    }
+
+    /// The first id on the first page past the flat page table.
+    const BOUND: u64 = FLAT_PAGES * PAGE_IDS_U64;
+
+    #[test]
+    fn slots_stay_dense_across_the_flat_table_bound() {
+        let mut dir = PageDirectory::default();
+        assert_eq!(dir.find(BOUND - 1), None);
+        assert_eq!(dir.find(BOUND), None);
+        // The last flat page, the first hashed page and the top page,
+        // interleaved: pages get indexes in first-seen order whichever
+        // table holds them.
+        let ids = [
+            BOUND - 1,
+            BOUND,
+            u64::MAX,
+            BOUND - 512,
+            BOUND + 511,
+            u64::MAX - 511,
+            BOUND + 512,
+            0,
+        ];
+        let slots: Vec<usize> = ids.iter().map(|&id| dir.slot(id)).collect();
+        assert_eq!(slots, [511, 512, 1535, 0, 1023, 1024, 1536, 2048]);
+        assert_eq!((dir.pages(), dir.slots()), (5, 2560));
+        // Two flat pages, the table grown to the last flat page; three
+        // hashed pages.
+        assert_eq!(dir.flat.len(), 1 << 20);
+        assert_eq!(dir.index.len(), 3);
+        for (&id, &slot) in ids.iter().zip(&slots) {
+            assert_eq!(dir.slot(id), slot, "id {id}");
+            assert_eq!(dir.find(id), Some(slot), "id {id}");
+            assert_eq!(dir.id_of(slot), Some(id), "slot {slot}");
+        }
+        // `find` adds no page on either side of the bound.
+        for id in [BOUND - 513, 512, BOUND + 1024, u64::MAX - 512] {
+            assert_eq!(dir.find(id), None, "id {id}");
+        }
+        assert_eq!(dir.pages(), 5);
+        assert_eq!(dir.id_of(2560), None);
+    }
+
+    #[test]
+    fn distinct_count_matches_a_hash_set_across_the_flat_table_bound() {
+        let ids: Vec<u64> = (BOUND - 600..BOUND + 600)
+            .step_by(7)
+            .zip((0..200u64).cycle())
+            .flat_map(|(near, dense)| [near, u64::MAX, dense, u64::MAX - near % 512])
+            .collect();
+        let counter = agrees_with_a_hash_set(ids.iter().chain(ids.iter().rev()).copied());
+        // Page 0 and two flat pages below the bound; two hashed pages above
+        // it and the top page.
+        assert_eq!(counter.dir.pages(), 6);
+        assert_eq!(counter.dir.index.len(), 3);
     }
 }
