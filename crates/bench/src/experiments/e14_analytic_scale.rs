@@ -1,4 +1,4 @@
-//! **E14 — the analytic cache model at scales the simulator cannot reach.**
+//! **E14 — the analytic cache model at the largest corpus scales.**
 //!
 //! The analytic backend (`cadapt_paging::analytic`) answers fixed-capacity
 //! fault counts in O(log A) per query from a once-per-trace summary, and

@@ -221,22 +221,30 @@ pub(crate) struct DistinctBlocks {
 
 impl DistinctBlocks {
     /// Record `id`; true if it had not been seen before.
+    #[inline]
     pub(crate) fn insert(&mut self, id: u64) -> bool {
         let slot = self.dir.slot(id);
         let at = slot / 64;
-        if at >= self.seen.len() {
-            self.seen.resize(self.dir.slots() / 64, 0);
-        }
-        // The table was just grown to cover every slot, so this always
-        // finds the word.
-        let Some(word) = self.seen.get_mut(at) else {
-            return false;
+        let word = match self.seen.get_mut(at) {
+            Some(word) => word,
+            None => self.grow(at),
         };
         let bit = 1u64 << (slot % 64);
         let fresh = *word & bit == 0;
         *word |= bit;
         self.count += u64::from(fresh);
         fresh
+    }
+
+    /// Grow the flags to cover every slot of the directory, which holds
+    /// flag word `at`, and return that word.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, at: usize) -> &mut u64 {
+        // `at` is a directory slot divided by 64, and the flags now cover
+        // all `slots() / 64` words.
+        self.seen.resize(self.dir.slots() / 64, 0);
+        &mut self.seen[at]
     }
 
     /// Number of distinct ids recorded.

@@ -85,11 +85,20 @@ impl Opcode {
 
 /// Longest atom period the encoder will fold into a `LOOP`.
 const MAX_PERIOD: usize = 16;
-/// Atoms retained in the sliding detection window after a spill.
-const RETAIN: usize = 3 * MAX_PERIOD;
-/// Window size that triggers a spill of settled atoms to bytes. Keeping
-/// this above `RETAIN` amortises the drain.
-const COMMIT_AT: usize = 2 * RETAIN;
+/// Unwritten atoms a spill keeps. A new loop folds only the newest
+/// `2 · MAX_PERIOD` atoms, so no older atom can change again.
+const RETAIN: usize = 2 * MAX_PERIOD;
+/// Slots in the encoder's window: [`MAX_PERIOD`] placeholders, then the
+/// unwritten atoms. A full window spills.
+const WINDOW: usize = 256;
+/// `THRESHOLD[i]` is `MAX_PERIOD - i`, the period of the image in lane `i`
+/// of the period compare.
+const THRESHOLD: [u8; MAX_PERIOD] = [16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1];
+/// The key of every atom too large to pack (see [`Slot::key`]).
+const ESCAPE: u32 = u32::MAX;
+/// Spare bytes the writer keeps past the program's end: room for the
+/// longest atom header, an opcode and two ten-byte varints.
+const ROOM: usize = 32;
 
 /// Zigzag-map a wrapping delta so small magnitudes of either sign encode
 /// short. Interpreting `d` as two's-complement: `0, -1, 1, -2, …` map to
@@ -103,14 +112,20 @@ fn unzigzag(z: u64) -> u64 {
     (z >> 1) ^ 0u64.wrapping_sub(z & 1)
 }
 
-/// Append `x` as an LEB128 varint (7 value bits per byte, high bit =
-/// continuation).
-fn push_varint(bytes: &mut Vec<u8>, mut x: u64) {
+/// Write `x` as an LEB128 varint (7 value bits per byte, high bit =
+/// continuation) at `bytes[at..]`, returning the position past it.
+fn put_varint(bytes: &mut [u8], mut at: usize, mut x: u64) -> usize {
     while x >= 0x80 {
-        bytes.push(cast::u8_from_u64((x & 0x7F) | 0x80));
+        if let Some(b) = bytes.get_mut(at) {
+            *b = cast::u8_from_u64((x & 0x7F) | 0x80);
+        }
         x >>= 7;
+        at += 1;
     }
-    bytes.push(cast::u8_from_u64(x));
+    if let Some(b) = bytes.get_mut(at) {
+        *b = cast::u8_from_u64(x);
+    }
+    at + 1
 }
 
 /// Read one LEB128 varint at `*pos`, advancing it. Truncated or
@@ -132,7 +147,7 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
     x
 }
 
-/// Bytes of the LEB128 varint [`push_varint`] writes for `x`.
+/// Bytes of the LEB128 varint [`put_varint`] writes for `x`.
 fn varint_len(x: u64) -> u64 {
     u64::from(64 - (x | 1).leading_zeros()).div_ceil(7)
 }
@@ -153,22 +168,40 @@ impl Slot {
     /// before the first atom of its tail.
     const NONE: Slot = Slot { n: 0, d: 1 };
 
-    fn write(self, bytes: &mut Vec<u8>) {
+    /// `n` in the low byte and the zigzagged delta above it, for `n <
+    /// 255` and zigzagged deltas below 2²⁴; [`ESCAPE`] otherwise. Two
+    /// atoms have equal keys exactly when they are equal, unless both keys
+    /// are [`ESCAPE`], whose low byte no packed key has. The placeholder's
+    /// key, 0x200, is no atom's: only a leaf has `n == 0`, and its key is 0.
+    fn key(self) -> u32 {
+        let z = zigzag(self.d);
+        if self.n < 0xFF && z < 1 << 24 {
+            u32::try_from(z << 8 | self.n).unwrap_or(ESCAPE)
+        } else {
+            ESCAPE
+        }
+    }
+
+    /// Encode into `room`, returning the bytes written.
+    fn encode(self, room: &mut [u8; ROOM]) -> usize {
         match self.n {
-            0 => bytes.push(Opcode::Leaf.byte()),
+            0 => {
+                room[0] = Opcode::Leaf.byte();
+                1
+            }
             1 => {
-                bytes.push(Opcode::Access.byte());
-                push_varint(bytes, zigzag(self.d));
+                room[0] = Opcode::Access.byte();
+                put_varint(room, 1, zigzag(self.d))
             }
             n => {
-                bytes.push(Opcode::Run.byte());
-                push_varint(bytes, n);
-                push_varint(bytes, zigzag(self.d));
+                room[0] = Opcode::Run.byte();
+                let at = put_varint(room, 1, n);
+                put_varint(room, at, zigzag(self.d))
             }
         }
     }
 
-    /// Bytes [`Slot::write`] appends.
+    /// Bytes [`Slot::encode`] writes.
     fn byte_len(self) -> u64 {
         match self.n {
             0 => 1,
@@ -182,6 +215,7 @@ impl Slot {
 /// inline so forming or growing a loop never allocates.
 #[derive(Debug, Clone, Copy)]
 struct LoopSlot {
+    /// 0 when there is no loop.
     reps: u64,
     len: usize,
     body: [Slot; MAX_PERIOD],
@@ -190,17 +224,62 @@ struct LoopSlot {
 }
 
 impl LoopSlot {
+    const NONE: LoopSlot = LoopSlot {
+        reps: 0,
+        len: 0,
+        body: [Slot::LEAF; MAX_PERIOD],
+        body_bytes: 0,
+    };
+
     fn body(&self) -> &[Slot] {
         self.body.get(..self.len).unwrap_or_default()
     }
+}
 
-    fn write(&self, bytes: &mut Vec<u8>) {
-        bytes.push(Opcode::Loop.byte());
-        push_varint(bytes, self.reps);
-        push_varint(bytes, self.body_bytes);
-        for &slot in self.body() {
-            slot.write(bytes);
+/// The program bytes under construction. An atom is encoded straight into
+/// the [`ROOM`] bytes kept past the end, so writing one checks the
+/// capacity once, not once per byte.
+#[derive(Debug, Default)]
+struct Writer {
+    /// `len` program bytes, then at least [`ROOM`] spare ones.
+    buf: Vec<u8>,
+    len: usize,
+}
+
+impl Writer {
+    /// The [`ROOM`] bytes past the end, growing the buffer first if needed.
+    fn room(&mut self) -> Option<&mut [u8; ROOM]> {
+        if self.buf.len().saturating_sub(self.len) < ROOM {
+            let grown = (2 * self.buf.len()).max(self.len + ROOM).max(1 << 12);
+            self.buf.resize(grown, 0);
         }
+        self.buf.get_mut(self.len..)?.first_chunk_mut()
+    }
+
+    fn slot(&mut self, slot: Slot) {
+        let Some(room) = self.room() else {
+            return; // unreachable: `room` grows the buffer first
+        };
+        let n = slot.encode(room);
+        self.len += n;
+    }
+
+    fn loop_slot(&mut self, lp: &LoopSlot) {
+        let Some(room) = self.room() else {
+            return; // unreachable: `room` grows the buffer first
+        };
+        room[0] = Opcode::Loop.byte();
+        let at = put_varint(room, 1, lp.reps);
+        let n = put_varint(room, at, lp.body_bytes);
+        self.len += n;
+        for &slot in lp.body() {
+            self.slot(slot);
+        }
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        self.buf.truncate(self.len);
+        self.buf
     }
 }
 
@@ -213,36 +292,43 @@ impl LoopSlot {
 ///    the loop gains a repetition;
 /// 2. otherwise, if the newest `2p` atoms are two copies of a loop-free
 ///    pattern (smallest period `p ≤ MAX_PERIOD` first), they become a
-///    two-repetition `LOOP`;
-/// 3. otherwise, once the window passes [`COMMIT_AT`] atoms, all but the
-///    newest [`RETAIN`] are written out.
+///    two-repetition `LOOP`.
 ///
-/// Atoms older than the newest loop can never change again, so they are
-/// written out as soon as a newer loop forms; the window is the newest
-/// loop, with its body inline, and the loop-free `Copy` slots after it.
-/// Where the window is cut never changes a byte: a spill writes a loop
-/// out only once more than [`MAX_PERIOD`] atoms follow it, when step 1
-/// can no longer apply, and the [`RETAIN`] ≥ `2 · MAX_PERIOD` atoms kept
-/// hold every pattern step 2 can still fold. Step 2 is one compare per period
-/// against the [`MAX_PERIOD`] slots before the new atom, because
-/// `matched` tracks, for every period, how many of the newest slots
-/// equal their image one period back. Encoding is a pure function of the
-/// event stream.
+/// Nothing else changes an unwritten atom, so an atom is written out once
+/// neither step can reach it: the newest loop when a newer one forms or
+/// the window fills (more than [`MAX_PERIOD`] atoms then follow it, so
+/// step 1 no longer applies), the atoms before a new loop's pattern, and,
+/// when the window fills, all but the newest [`RETAIN`] atoms. When an
+/// atom is written never changes a byte. Step 1 is one compare per atom
+/// against the body slot at the tail's length (`extendable` drops to 0 at
+/// the first mismatch). Step 2 is one vector compare per atom: every atom
+/// has a `u32` key ([`Slot::key`]), the keys of the [`MAX_PERIOD`] slots
+/// before the new atom are compared with its key at once, and `matched`
+/// tracks, for every period, how many of the newest slots equal their
+/// image one period back. Encoding is a pure function of the event
+/// stream.
 #[derive(Debug)]
 struct Encoder {
-    bytes: Vec<u8>,
-    /// The newest loop, the only one that can still grow.
-    last_loop: Option<LoopSlot>,
-    /// [`MAX_PERIOD`] [`Slot::NONE`] placeholders, then the atoms after
-    /// `last_loop` (every unwritten atom if there is none). With the
-    /// placeholders every period has an image, so the compares run over
-    /// a fixed-length array.
-    tail: Vec<Slot>,
+    out: Writer,
+    /// The newest loop while it can still grow; `reps == 0` if none can.
+    last_loop: LoopSlot,
+    /// The body length of `last_loop` while every tail atom equals the
+    /// body slot at its position, so the tail can still become one more
+    /// copy; 0 once one does not.
+    extendable: usize,
+    /// [`MAX_PERIOD`] [`Slot::NONE`] placeholders, then the unwritten
+    /// atoms after `last_loop` (every unwritten atom if there is none) up
+    /// to `end`. With the placeholders every period has an image, so the
+    /// compares run over a fixed-length array.
+    slots: [Slot; WINDOW],
+    /// `keys[i] == slots[i].key()`.
+    keys: [u32; WINDOW],
+    end: usize,
     /// `matched[MAX_PERIOD - p]`: how many of the newest tail atoms equal
     /// the slot `p` before them. Always below `p` between atoms, since
     /// reaching `p` forms a loop. No placeholder equals an atom, so the
     /// counts restart by themselves once the tail is emptied.
-    matched: [usize; MAX_PERIOD],
+    matched: [u8; MAX_PERIOD],
     run_d: u64,
     run_n: u64,
 }
@@ -250,9 +336,12 @@ struct Encoder {
 impl Default for Encoder {
     fn default() -> Self {
         Encoder {
-            bytes: Vec::new(),
-            last_loop: None,
-            tail: vec![Slot::NONE; MAX_PERIOD],
+            out: Writer::default(),
+            last_loop: LoopSlot::NONE,
+            extendable: 0,
+            slots: [Slot::NONE; WINDOW],
+            keys: [Slot::NONE.key(); WINDOW],
+            end: MAX_PERIOD,
             matched: [0; MAX_PERIOD],
             run_d: 0,
             run_n: 0,
@@ -261,6 +350,7 @@ impl Default for Encoder {
 }
 
 impl Encoder {
+    #[inline]
     fn delta(&mut self, d: u64) {
         if self.run_n > 0 && d == self.run_d {
             self.run_n += 1;
@@ -284,90 +374,140 @@ impl Encoder {
         }
     }
 
-    /// The atoms after the newest loop, without the placeholders.
-    fn tail_atoms(&self) -> &[Slot] {
-        self.tail.get(MAX_PERIOD..).unwrap_or_default()
-    }
-
     fn push_atom(&mut self, atom: Slot) {
-        self.tail.push(atom);
-        if let Some(lp) = &mut self.last_loop {
-            if self.tail.get(MAX_PERIOD..).unwrap_or_default() == lp.body() {
-                lp.reps += 1;
-                self.tail.truncate(MAX_PERIOD);
+        let at = self.end;
+        let key = atom.key();
+        if let (Some(slot), Some(k)) = (self.slots.get_mut(at), self.keys.get_mut(at)) {
+            *slot = atom;
+            *k = key;
+        }
+        self.end = at + 1;
+        let tail = self.end - MAX_PERIOD;
+        if tail <= self.extendable {
+            if self.last_loop.body.get(tail - 1) != Some(&atom) {
+                self.extendable = 0;
+            } else if tail == self.extendable {
+                self.last_loop.reps += 1;
+                self.end = MAX_PERIOD;
                 return;
             }
         }
-        // The slots one to MAX_PERIOD places before the new atom, oldest
-        // first: the image of period p is `images[MAX_PERIOD - p]`, and
-        // `matched` is indexed the same way. Whether an image matches is
-        // data, so the update is branch-free; periods are visited largest
-        // first, so the smallest that is ready wins.
-        let older = self.tail.split_last().map_or(&[][..], |(_, older)| older);
-        let Some(images) = older.last_chunk::<MAX_PERIOD>() else {
-            return; // unreachable: the placeholders are never removed
-        };
-        let mut fold = 0;
-        for (i, (matched, image)) in self.matched.iter_mut().zip(images).enumerate() {
-            let same = (image.n == atom.n) & (image.d == atom.d);
-            *matched = usize::from(same) * (*matched + 1);
-            if *matched >= MAX_PERIOD - i {
-                fold = MAX_PERIOD - i;
-            }
-        }
-        if fold > 0 {
-            self.form_loop(fold);
-        } else if usize::from(self.last_loop.is_some()) + self.tail_atoms().len() > COMMIT_AT {
+        if self.period_ready(at, atom, key) {
+            self.form_loop();
+        } else if self.end == WINDOW {
             self.spill();
+        }
+    }
+
+    /// Update `matched` for the atom just stored at `at`; true if some
+    /// period's count reached it. The slots one to [`MAX_PERIOD`] places
+    /// before the new atom, oldest first, are its images: the image of
+    /// period p sits in lane `MAX_PERIOD - p`, as its count does. Whether
+    /// an image matches is data, so the update is branch-free, and on
+    /// plain arrays the compare, the count update and the threshold test
+    /// each compile to a few vector instructions.
+    fn period_ready(&mut self, at: usize, atom: Slot, key: u32) -> bool {
+        let Some(images) = self
+            .keys
+            .get(..at)
+            .and_then(<[u32]>::last_chunk::<MAX_PERIOD>)
+        else {
+            return false; // unreachable: the placeholders are never removed
+        };
+        let same = if key == ESCAPE {
+            self.escaped_lanes(at, atom)
+        } else {
+            images.map(|image| if image == key { u8::MAX } else { 0 })
+        };
+        let mut matched = self.matched;
+        let mut any = false;
+        for ((m, same), t) in matched.iter_mut().zip(same).zip(THRESHOLD) {
+            *m = m.wrapping_add(1) & same;
+            any |= *m == t;
+        }
+        self.matched = matched;
+        any
+    }
+
+    /// The lane masks of [`Self::period_ready`] for an [`ESCAPE`]d atom,
+    /// whose key says nothing: compare the slots themselves.
+    #[cold]
+    fn escaped_lanes(&self, at: usize, atom: Slot) -> [u8; MAX_PERIOD] {
+        let images = self
+            .slots
+            .get(..at)
+            .and_then(<[Slot]>::last_chunk::<MAX_PERIOD>);
+        images.map_or([0; MAX_PERIOD], |images| {
+            images.map(|image| if image == atom { u8::MAX } else { 0 })
+        })
+    }
+
+    /// Write out the newest loop, if any.
+    fn retire_loop(&mut self) {
+        if self.last_loop.reps > 0 {
+            self.out.loop_slot(&self.last_loop);
+            self.last_loop.reps = 0;
+            self.extendable = 0;
         }
     }
 
     /// Fold the newest `2p` tail atoms, two copies of one pattern, into a
     /// fresh two-repetition loop, writing out the old loop and the atoms
-    /// before the pattern.
-    fn form_loop(&mut self, p: usize) {
-        if let Some(lp) = self.last_loop.take() {
-            lp.write(&mut self.bytes);
-        }
-        let before = self.tail_atoms().len() - 2 * p;
-        let mut atoms = self.tail.drain(MAX_PERIOD..);
-        for slot in atoms.by_ref().take(before) {
-            slot.write(&mut self.bytes);
+    /// before the pattern. `p` is the smallest period whose count reached
+    /// it: lanes run from period [`MAX_PERIOD`] down to 1, so it is the
+    /// last such lane.
+    #[inline(never)]
+    fn form_loop(&mut self) {
+        let Some(lane) = self
+            .matched
+            .iter()
+            .zip(THRESHOLD)
+            .rposition(|(&m, t)| m == t)
+        else {
+            return; // unreachable: called once a count reached its period
+        };
+        let p = MAX_PERIOD - lane;
+        self.retire_loop();
+        let end = self.end;
+        for &slot in self.slots.get(MAX_PERIOD..end - 2 * p).unwrap_or_default() {
+            self.out.slot(slot);
         }
         let mut lp = LoopSlot {
             reps: 2,
             len: p,
-            body: [Slot::LEAF; MAX_PERIOD],
-            body_bytes: 0,
+            ..LoopSlot::NONE
         };
-        for (dst, slot) in lp.body.iter_mut().zip(atoms.skip(p)) {
+        let body = self.slots.get(end - p..end).unwrap_or_default();
+        for (dst, &slot) in lp.body.iter_mut().zip(body) {
             *dst = slot;
             lp.body_bytes += slot.byte_len();
         }
-        self.last_loop = Some(lp);
+        self.last_loop = lp;
+        self.extendable = p;
+        self.end = MAX_PERIOD;
     }
 
-    /// Write out all but the newest [`RETAIN`] atoms of a full window: the
-    /// loop, which is the oldest, then the oldest tail atoms.
+    /// Write out all but the newest [`RETAIN`] atoms of a full window, the
+    /// loop first, and move the kept ones down behind the placeholders.
+    #[inline(never)]
     fn spill(&mut self) {
-        if let Some(lp) = self.last_loop.take() {
-            lp.write(&mut self.bytes);
+        self.retire_loop();
+        let keep = self.end - RETAIN;
+        for &slot in self.slots.get(MAX_PERIOD..keep).unwrap_or_default() {
+            self.out.slot(slot);
         }
-        let written = self.tail_atoms().len() - RETAIN;
-        for slot in self.tail.drain(MAX_PERIOD..MAX_PERIOD + written) {
-            slot.write(&mut self.bytes);
-        }
+        self.slots.copy_within(keep..self.end, MAX_PERIOD);
+        self.keys.copy_within(keep..self.end, MAX_PERIOD);
+        self.end = MAX_PERIOD + RETAIN;
     }
 
     fn finish(mut self) -> Vec<u8> {
         self.flush_run();
-        if let Some(lp) = self.last_loop {
-            lp.write(&mut self.bytes);
+        self.retire_loop();
+        for &slot in self.slots.get(MAX_PERIOD..self.end).unwrap_or_default() {
+            self.out.slot(slot);
         }
-        for &slot in self.tail.get(MAX_PERIOD..).unwrap_or_default() {
-            slot.write(&mut self.bytes);
-        }
-        self.bytes
+        self.out.finish()
     }
 }
 
@@ -411,6 +551,7 @@ impl TraceCompiler {
     }
 
     /// Compile an access to block number `block`.
+    #[inline]
     pub fn push_block(&mut self, block: u64) {
         self.seen.insert(block);
         self.accesses += 1;
@@ -775,16 +916,19 @@ mod tests {
 
     #[test]
     fn varint_round_trips() {
-        let mut bytes = Vec::new();
+        let mut bytes = [0u8; 64];
         let values = [0u64, 1, 127, 128, 300, 1 << 20, u64::MAX];
+        let mut end = 0;
         for &v in &values {
-            push_varint(&mut bytes, v);
+            let next = put_varint(&mut bytes, end, v);
+            assert_eq!(cast::u64_from_usize(next - end), varint_len(v));
+            end = next;
         }
         let mut pos = 0;
         for &v in &values {
             assert_eq!(read_varint(&bytes, &mut pos), v);
         }
-        assert_eq!(pos, bytes.len());
+        assert_eq!(pos, end);
     }
 
     #[test]

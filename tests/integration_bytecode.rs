@@ -17,7 +17,7 @@
 //!    recompiling the recorded trace, because encoding is a pure function
 //!    of the event stream.
 //! 3. **Pinned** — the corpus programs' CRC-32s and byte lengths at
-//!    sides 16 and 32 are constants below. The bytecode format is a
+//!    sides 16, 32 and 64 are constants below. The bytecode format is a
 //!    serialisation format: changing an opcode, a varint width, or the
 //!    loop-detection window changes these bytes, and that must be a
 //!    deliberate, reviewed act. If an *intentional* format change lands,
@@ -63,9 +63,23 @@ const PINNED_PROGRAMS_SIDE_32: &[Pin] = &[
     (TraceAlgo::VebSearch, 0xB354_D51F, 23787, 10753, 11777),
 ];
 
+/// Every corpus program at side 64: an order of magnitude more atoms
+/// than side 16, so loops form, grow and spill far more often.
+const PINNED_PROGRAMS_SIDE_64: &[Pin] = &[
+    (TraceAlgo::MmScan, 0x399F_7B2E, 5386485, 2076672, 2338816),
+    (TraceAlgo::MmInplace, 0x8043_C76A, 687647, 1048576, 1310720),
+    (TraceAlgo::Strassen, 0x8F80_364A, 4126070, 2094093, 2211742),
+    (TraceAlgo::EditDistance, 0x704C_DA6E, 132847, 60928, 65024),
+    (TraceAlgo::VebSearch, 0xB9F7_1692, 108479, 51201, 55297),
+];
+
 #[test]
 fn corpus_bytecode_is_pinned() {
-    for (side, pins) in [(SIDE, PINNED_PROGRAMS), (32, PINNED_PROGRAMS_SIDE_32)] {
+    for (side, pins) in [
+        (SIDE, PINNED_PROGRAMS),
+        (32, PINNED_PROGRAMS_SIDE_32),
+        (64, PINNED_PROGRAMS_SIDE_64),
+    ] {
         for &(algo, pinned_crc, pinned_len, pinned_accesses, pinned_events) in pins {
             let program = compiled(algo, side, BLOCK_WORDS);
             assert_eq!(
