@@ -39,10 +39,14 @@
 //! entry, not a hash-map value. The stack distance of a re-access at j whose previous
 //! access was at p is one plus the blocks whose latest access lies in
 //! (p, j): with one flag bit per position marking the latest access of
-//! every block seen so far, that is `distinct_so_far − flags(0..=p)`, one
-//! prefix count on a Fenwick tree over the 64-bit flag words (A/4 bytes
-//! for A accesses). Depths are at most the distinct blocks seen, so the
-//! histogram is a vector indexed by depth, turned cumulative at the end.
+//! every block seen so far, that is a popcount over the few newest flag
+//! words when p lies in one of them, which it does for most re-accesses
+//! of the corpus programs, and otherwise `distinct_so_far − flags(0..=p)`,
+//! one prefix count on a Fenwick tree over the older 64-bit flag words
+//! (A/4 bytes for A accesses). Depths are at most the distinct blocks
+//! seen, so the histogram is a vector indexed by depth, turned cumulative
+//! at the end. `leaf_before` is filled in bulk at each leaf mark rather
+//! than pushed once per access.
 
 use crate::block_map::PageDirectory;
 use crate::stream::TraceStream;
@@ -54,15 +58,22 @@ use cadapt_core::{cast, Blocks, Io, Leaves};
 /// words for prefix counts.
 ///
 /// Accesses are appended in order, and only the word holding the newest
-/// position (the *open* word) changes by more than a cleared bit, so the
-/// tree holds the closed words only: a word's count enters the tree once,
-/// when the next word opens, and clearing a flag in a closed word is one
-/// tree update. Two bits per access (the flag and, amortised, one word of
-/// tree per 64 accesses) instead of one 64-bit tree node per access.
+/// position changes by more than a cleared bit, so the tree holds closed
+/// words only: a word's count enters the tree once, [`RECENT`] words after
+/// it opens, and clearing a flag in a closed word is one tree update. Most
+/// re-accesses clear a flag in one of the recent words and count the flags
+/// after it by popcount over those words, with no tree walk at all. Two
+/// bits per access (the flag and, amortised, one word of tree per 64
+/// accesses) instead of one 64-bit tree node per access.
 ///
 /// Counts are stored modulo 2⁶⁴ (the classic wrapping trick): every prefix
 /// sum of the true flag multiset is non-negative, so the wrapped value is
 /// the exact value.
+/// Flag words kept out of the tree behind the newest one. On the corpus
+/// programs 85–95% of re-accesses land in the newest word and almost all
+/// the rest within a few words of it.
+const RECENT: usize = 4;
+
 #[derive(Debug)]
 struct LatestFlags {
     /// Bit `j % 64` of word `j / 64` is set iff access `j` is the latest
@@ -94,11 +105,11 @@ impl LatestFlags {
         }
     }
 
-    /// Flag position `j`, the newest so far: closes every word below
-    /// `j / 64` that is still open.
+    /// Flag position `j`, the newest so far: closes every word more than
+    /// [`RECENT`] words below `j / 64` that is still open.
     fn push(&mut self, j: usize) {
         let w = j / 64;
-        while self.closed < w {
+        while self.closed + RECENT < w {
             let closed = self.closed;
             let count = self
                 .words
@@ -123,7 +134,25 @@ impl LatestFlags {
         }
     }
 
-    /// Flags at positions `0..=p`.
+    /// Flags at positions after `p` and before `j`, the newest position
+    /// (not flagged yet), given the `total` flags set: a popcount over the
+    /// open words when `p` lies in one, else `total` less a tree prefix.
+    fn after(&self, p: usize, j: usize, total: u64) -> u64 {
+        let w = p / 64;
+        if w < self.closed {
+            return total.wrapping_sub(self.prefix(p));
+        }
+        // Two shifts, so a flag in bit 63 shifts out instead of
+        // overflowing the shift.
+        let own = self
+            .words
+            .get(w)
+            .map_or(0, |x| u64::from((x >> (p % 64) >> 1).count_ones()));
+        let newer = self.words.get(w + 1..=j / 64).unwrap_or_default();
+        own + newer.iter().map(|x| u64::from(x.count_ones())).sum::<u64>()
+    }
+
+    /// Flags at positions `0..=p`; every word below `p / 64` is closed.
     fn prefix(&self, p: usize) -> u64 {
         let w = p / 64;
         let below = (2u64 << (p % 64)).wrapping_sub(1);
@@ -131,8 +160,6 @@ impl LatestFlags {
             .words
             .get(w)
             .map_or(0, |x| u64::from((x & below).count_ones()));
-        // Words below `w` are closed: `p` precedes the newest position,
-        // so `w` is at most the open word.
         let mut k = w;
         while k > 0 {
             sum = sum.wrapping_add(self.tree.get(k).copied().unwrap_or(0));
@@ -187,6 +214,8 @@ impl TraceSummary {
         let a = cast::usize_from_u64(access_count);
         let mut prev1 = Vec::with_capacity(a);
         let mut depth = Vec::with_capacity(a);
+        // Filled in bulk at each leaf mark: every access since the last
+        // fill has the leaf count before the mark.
         let mut leaf_before = Vec::with_capacity(a + 1);
         // Slot → 1 + position of the block's latest access, 0 if unseen:
         // the `prev1` entry of the block's next access.
@@ -204,9 +233,11 @@ impl TraceSummary {
         let mut j: u64 = 0;
         // `for_each` drains through the decoder's `fold` fast path.
         events.for_each(|event| match event {
-            TraceEvent::Leaf => leaves += 1,
+            TraceEvent::Leaf => {
+                leaf_before.resize(cast::usize_from_u64(j), leaves);
+                leaves += 1;
+            }
             TraceEvent::Access(block) => {
-                leaf_before.push(leaves);
                 let slot = dir.slot(block);
                 if slot >= last1.len() {
                     last1.resize(dir.slots(), 0);
@@ -225,7 +256,7 @@ impl TraceSummary {
                     // `distinct` blocks seen so far; those after p belong
                     // to the blocks touched strictly between p and j, and
                     // the block itself adds 1.
-                    let d = distinct.wrapping_sub(flags.prefix(p)) + 1;
+                    let d = flags.after(p, cast::usize_from_u64(j), distinct) + 1;
                     depth.push(d);
                     if let Some(h) = hist.get_mut(cast::usize_from_u64(d)) {
                         *h += 1;
@@ -237,6 +268,7 @@ impl TraceSummary {
                 j += 1;
             }
         });
+        leaf_before.resize(cast::usize_from_u64(j), leaves);
         leaf_before.push(leaves);
         let mut warm_at_most = hist;
         let mut running = 0u64;
