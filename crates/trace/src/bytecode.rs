@@ -310,7 +310,8 @@ impl Writer {
 #[derive(Debug)]
 struct Encoder {
     out: Writer,
-    /// The newest loop while it can still grow; `reps == 0` if none can.
+    /// The newest loop until it is written out; `reps == 0` when there
+    /// is none.
     last_loop: LoopSlot,
     /// The body length of `last_loop` while every tail atom equals the
     /// body slot at its position, so the tail can still become one more

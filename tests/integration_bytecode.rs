@@ -63,8 +63,8 @@ const PINNED_PROGRAMS_SIDE_32: &[Pin] = &[
     (TraceAlgo::VebSearch, 0xB354_D51F, 23787, 10753, 11777),
 ];
 
-/// Every corpus program at side 64: an order of magnitude more atoms
-/// than side 16, so loops form, grow and spill far more often.
+/// Every corpus program at side 64, with up to 64 times the accesses of
+/// side 16, so the encoder forms, grows and spills far more loops.
 const PINNED_PROGRAMS_SIDE_64: &[Pin] = &[
     (TraceAlgo::MmScan, 0x399F_7B2E, 5386485, 2076672, 2338816),
     (TraceAlgo::MmInplace, 0x8043_C76A, 687647, 1048576, 1310720),
