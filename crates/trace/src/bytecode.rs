@@ -99,6 +99,10 @@ const ESCAPE: u32 = u32::MAX;
 /// Spare bytes the writer keeps past the program's end: room for the
 /// longest atom header, an opcode and two ten-byte varints.
 const ROOM: usize = 32;
+// The opcode and both ten-byte varints must fit: `put_varint` skips bytes
+// past the room, so a smaller one would leave zeros in the program
+// instead of failing.
+const _: () = assert!(ROOM > 2 * 10);
 
 /// Zigzag-map a wrapping delta so small magnitudes of either sign encode
 /// short. Interpreting `d` as two's-complement: `0, -1, 1, -2, …` map to
@@ -250,7 +254,7 @@ impl Writer {
     /// The [`ROOM`] bytes past the end, growing the buffer first if needed.
     fn room(&mut self) -> Option<&mut [u8; ROOM]> {
         if self.buf.len().saturating_sub(self.len) < ROOM {
-            let grown = (2 * self.buf.len()).max(self.len + ROOM).max(1 << 12);
+            let grown = (2 * self.buf.len()).max(self.len + ROOM);
             self.buf.resize(grown, 0);
         }
         self.buf.get_mut(self.len..)?.first_chunk_mut()

@@ -39,14 +39,13 @@
 //! entry, not a hash-map value. The stack distance of a re-access at j whose previous
 //! access was at p is one plus the blocks whose latest access lies in
 //! (p, j): with one flag bit per position marking the latest access of
-//! every block seen so far, that is a popcount over the few newest flag
-//! words when p lies in one of them, which it does for most re-accesses
-//! of the corpus programs, and otherwise `distinct_so_far − flags(0..=p)`,
-//! one prefix count on a Fenwick tree over the older 64-bit flag words
-//! (A/4 bytes for A accesses). Depths are at most the distinct blocks
-//! seen, so the histogram is a vector indexed by depth, turned cumulative
-//! at the end. `leaf_before` is filled in bulk at each leaf mark rather
-//! than pushed once per access.
+//! every block seen so far, that is `distinct_so_far − flags(0..=p)`, one
+//! prefix count on a Fenwick tree over the 64-bit flag words (A/4 bytes
+//! for A accesses), or a single popcount when p lies in the newest flag
+//! word, as 80–93% of the re-accesses of each corpus program do. Depths
+//! are at most the distinct blocks seen, so the histogram is a vector
+//! indexed by depth, turned cumulative at the end. `leaf_before` is
+//! filled in bulk at each leaf mark rather than pushed once per access.
 
 use crate::block_map::PageDirectory;
 use crate::stream::TraceStream;
@@ -58,22 +57,17 @@ use cadapt_core::{cast, Blocks, Io, Leaves};
 /// words for prefix counts.
 ///
 /// Accesses are appended in order, and only the word holding the newest
-/// position changes by more than a cleared bit, so the tree holds closed
-/// words only: a word's count enters the tree once, [`RECENT`] words after
-/// it opens, and clearing a flag in a closed word is one tree update. Most
-/// re-accesses clear a flag in one of the recent words and count the flags
-/// after it by popcount over those words, with no tree walk at all. Two
-/// bits per access (the flag and, amortised, one word of tree per 64
-/// accesses) instead of one 64-bit tree node per access.
+/// position (the *open* word) changes by more than a cleared bit, so the
+/// tree holds the closed words only: a word's count enters the tree once,
+/// when the next word opens, and clearing a flag in a closed word is one
+/// tree update. A re-access whose previous access lies in the open word
+/// counts the flags after it by one popcount, with no tree walk. Two bits
+/// per access (the flag and, amortised, one word of tree per 64 accesses)
+/// instead of one 64-bit tree node per access.
 ///
 /// Counts are stored modulo 2⁶⁴ (the classic wrapping trick): every prefix
 /// sum of the true flag multiset is non-negative, so the wrapped value is
 /// the exact value.
-/// Flag words kept out of the tree behind the newest one. On the corpus
-/// programs 85–95% of re-accesses land in the newest word and almost all
-/// the rest within a few words of it.
-const RECENT: usize = 4;
-
 #[derive(Debug)]
 struct LatestFlags {
     /// Bit `j % 64` of word `j / 64` is set iff access `j` is the latest
@@ -105,11 +99,11 @@ impl LatestFlags {
         }
     }
 
-    /// Flag position `j`, the newest so far: closes every word more than
-    /// [`RECENT`] words below `j / 64` that is still open.
+    /// Flag position `j`, the newest so far: closes every word below
+    /// `j / 64` that is still open.
     fn push(&mut self, j: usize) {
         let w = j / 64;
-        while self.closed + RECENT < w {
+        while self.closed < w {
             let closed = self.closed;
             let count = self
                 .words
@@ -134,25 +128,22 @@ impl LatestFlags {
         }
     }
 
-    /// Flags at positions after `p` and before `j`, the newest position
-    /// (not flagged yet), given the `total` flags set: a popcount over the
-    /// open words when `p` lies in one, else `total` less a tree prefix.
-    fn after(&self, p: usize, j: usize, total: u64) -> u64 {
+    /// Flags at positions after `p`, given the `total` flags set: a
+    /// popcount when `p` lies in the open word, which holds every flag
+    /// after it, else `total` less a tree prefix.
+    fn after(&self, p: usize, total: u64) -> u64 {
         let w = p / 64;
         if w < self.closed {
             return total.wrapping_sub(self.prefix(p));
         }
         // Two shifts, so a flag in bit 63 shifts out instead of
         // overflowing the shift.
-        let own = self
-            .words
+        self.words
             .get(w)
-            .map_or(0, |x| u64::from((x >> (p % 64) >> 1).count_ones()));
-        let newer = self.words.get(w + 1..=j / 64).unwrap_or_default();
-        own + newer.iter().map(|x| u64::from(x.count_ones())).sum::<u64>()
+            .map_or(0, |x| u64::from((x >> (p % 64) >> 1).count_ones()))
     }
 
-    /// Flags at positions `0..=p`; every word below `p / 64` is closed.
+    /// Flags at positions `0..=p`.
     fn prefix(&self, p: usize) -> u64 {
         let w = p / 64;
         let below = (2u64 << (p % 64)).wrapping_sub(1);
@@ -160,6 +151,8 @@ impl LatestFlags {
             .words
             .get(w)
             .map_or(0, |x| u64::from((x & below).count_ones()));
+        // Words below `w` are closed: `p` precedes the newest position,
+        // so `w` is at most the open word.
         let mut k = w;
         while k > 0 {
             sum = sum.wrapping_add(self.tree.get(k).copied().unwrap_or(0));
@@ -256,7 +249,7 @@ impl TraceSummary {
                     // `distinct` blocks seen so far; those after p belong
                     // to the blocks touched strictly between p and j, and
                     // the block itself adds 1.
-                    let d = flags.after(p, cast::usize_from_u64(j), distinct) + 1;
+                    let d = flags.after(p, distinct) + 1;
                     depth.push(d);
                     if let Some(h) = hist.get_mut(cast::usize_from_u64(d)) {
                         *h += 1;
