@@ -196,7 +196,7 @@ impl TraceSummary {
     /// identical either way because the stream contract fixes the event
     /// sequence.
     ///
-    /// Besides its three output arrays (24 bytes per access), the build
+    /// Besides its three output arrays (32 bytes per access), the build
     /// holds the latest-occurrence flags (A/4 bytes), one last position
     /// per id on a touched page (8 bytes each) and the depth histogram
     /// (8 bytes per distinct block).
